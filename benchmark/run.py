@@ -38,28 +38,18 @@ import traceback
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(ROOT, ".bench_out")
-SETUP_REPEATS = 2  # before the timed rounds, and again after them
+SETUP_REPEATS = 3  # before the timed rounds, and again after them
 
-IMPORT_PROBE = (
-    "import time; t = time.perf_counter(); import curvelab.cli; "
-    "print(time.perf_counter() - t)"
+# one whole set-up in a fresh interpreter, timed from before the first import
+SETUP_PROBE = (
+    "import time; t = time.perf_counter(); import sys; from benchmark.run import prepare; "
+    "prepare(sys.argv[1], int(sys.argv[2]), sys.argv[3]); print(time.perf_counter() - t)"
 )
 
 
 def fail(msg):
     print(f"benchmark: {msg}", file=sys.stderr)
     sys.exit(2)
-
-
-def import_seconds():
-    """Time `import curvelab.cli` in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE], env=env, cwd=ROOT, capture_output=True, text=True, timeout=120
-    )
-    if proc.returncode != 0:
-        fail(f"cannot import curvelab.cli: {proc.stderr.strip().splitlines()[-1:]}")
-    return float(proc.stdout.strip())
 
 
 def invoke(cli, case, out_dir):
@@ -86,24 +76,34 @@ def run_round(cli, cases, out_dir):
     return time.perf_counter() - start, times, errors
 
 
-def setup(cli, workload, seed, warm_dir):
-    """Import, input generation and one warm-up call per subcommand, repeated;
-    returns (seconds of each repeat, cases)."""
+def prepare(workload, seed, warm_dir):
+    """Import curvelab.cli, generate the cases and make one warm-up call per
+    subcommand; returns (cli module, cases)."""
+    import curvelab.cli as cli
     from benchmark.workloads import make_cases
 
+    cases = make_cases(workload, seed)
+    firsts = {}
+    for case in cases:
+        firsts.setdefault(case.sub, case)
+    # a failing warm-up is not fatal: the timed rounds count the failure
+    for sub, case in firsts.items():
+        invoke(cli, case, os.path.join(warm_dir, sub))
+    return cli, cases
+
+
+def setup_seconds(workload, seed, warm_dir):
+    """Time SETUP_REPEATS whole set-ups, each in a fresh interpreter, so that
+    every one pays the import and the first calls."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, ROOT]))
     totals = []
     for rep in range(SETUP_REPEATS):
-        t_import = import_seconds()
-        t0 = time.perf_counter()
-        cases = make_cases(workload, seed)
-        firsts = {}
-        for case in cases:
-            firsts.setdefault(case.sub, case)
-        # a failing warm-up is not fatal: the timed rounds count the failure
-        for sub, case in firsts.items():
-            invoke(cli, case, os.path.join(warm_dir, f"{rep}-{sub}"))
-        totals.append(t_import + time.perf_counter() - t0)
-    return totals, cases
+        cmd = [sys.executable, "-c", SETUP_PROBE, workload, str(seed), f"{warm_dir}-{rep}"]
+        proc = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            fail(f"set-up failed: {proc.stderr.strip().splitlines()[-1:]}")
+        totals.append(float(proc.stdout.strip().splitlines()[-1]))
+    return totals
 
 
 def check_rounds(cases, round_dirs, errors):
@@ -173,7 +173,6 @@ def main(argv=None):
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         fail(f"unknown workload {args.workload!r}")
     sys.path[:0] = [SRC, ROOT]
-    import curvelab.cli as cli
     from benchmark.tracer import Tracer
 
     tag = f"{args.workload}-seed{args.seed}-trace{args.trace}-{os.getpid()}"
@@ -183,7 +182,9 @@ def main(argv=None):
 
     # the machine's speed drifts over seconds, so set-up is also timed after
     # the rounds and setup_s is the median of both batches
-    setup_times, cases = setup(cli, args.workload, args.seed, os.path.join(run_dir, "warmup"))
+    warm_dir = os.path.join(run_dir, "warmup")
+    setup_times = setup_seconds(args.workload, args.seed, os.path.join(warm_dir, "a"))
+    cli, cases = prepare(args.workload, args.seed, os.path.join(warm_dir, "main"))
 
     # timed rounds: plain only, or plain and traced alternating
     kinds = ["plain", "traced"] if args.trace else ["plain"]
@@ -217,7 +218,7 @@ def main(argv=None):
         if spent + per_cycle > args.seconds:
             break
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    setup_s = statistics.median(setup_times + setup(cli, args.workload, args.seed, os.path.join(run_dir, "warmup2"))[0])
+    setup_s = statistics.median(setup_times + setup_seconds(args.workload, args.seed, os.path.join(warm_dir, "b")))
 
     failed_cases = check_rounds(cases, round_dirs, errors)
     for r, errs in enumerate(errors):
@@ -252,7 +253,7 @@ def main(argv=None):
         }
         metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in spec["end_to_end"]}
 
-    for rdir in round_dirs + [os.path.join(run_dir, "warmup"), os.path.join(run_dir, "warmup2")]:
+    for rdir in round_dirs + [warm_dir]:
         shutil.rmtree(rdir, ignore_errors=True)
     result = {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
     with open(os.path.join(run_dir, "result.json"), "w") as fh:

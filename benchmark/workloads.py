@@ -50,16 +50,14 @@ def phase_ladder(rng):
 
     t0 = -xi / (2 eta) is stratified over [0.8, 1.5] and |eta| over
     [0.075, 0.09]; the sign of eta is random.  Every fourth case also gets
-    the costly reference quadrature check.  One call of each other
-    subcommand follows, about 1.3 s a round, so that every per-layer time
-    is measured here too.
+    the costly reference quadrature check.
     """
     n = STATIONARY_PAIRS
     t0 = 0.8 + 0.7 * (rng.permutation(n) + rng.uniform(0, 1, n)) / n
     mag = 0.075 + 0.015 * (rng.permutation(n) + rng.uniform(0, 1, n)) / n
     eta = mag * rng.choice([-1.0, 1.0], n)
     xi = -2.0 * eta * t0
-    cases = [
+    return [
         Case(
             "stationary",
             _sets(pairs=[[float(x), float(e)]], m_list=STATIONARY_M),
@@ -67,11 +65,6 @@ def phase_ladder(rng):
         )
         for i, (x, e, t) in enumerate(zip(xi, eta, t0))
     ]
-    probes = {}
-    for case in kernel_mix(rng):
-        if case.sub != "apply-T" or case.meta["grid"][2] == 2049:
-            probes.setdefault(case.sub, case)
-    return cases + list(probes.values())
 
 
 def _gaussian(rng, c_lo, c_hi):
