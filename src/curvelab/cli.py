@@ -2,7 +2,8 @@
 reads a JSON config, runs deterministically under a seed, and writes
 <out>/<subcommand>.csv plus <out>/<subcommand>.json.
 
-Exit codes: 0 all checks passed, 2 an asserted bound failed, 1 usage error.
+Exit codes: 0 all checks passed, 2 an asserted bound failed, 1 usage error
+(a config that leaves no case to check counts as one).
 CURVELAB_THREADS caps the worker pool for parameter ladders.
 """
 
@@ -23,16 +24,21 @@ from .report import ExperimentReport
 from .scales import cardinality_bound, classify_scales, partition_to_json, verify_cardinality_bound
 from .signals import GridFunction, default_family, maximal_p
 from .operators import apply_M, apply_Tj, multiplier_Mmn
-from .oscillatory import PhasePair, SmoothFn, inverse_derivatives, inverse_function, perturbation_pair_check, sublevel_check
+from .oscillatory import (
+    PhasePair,
+    SmoothFn,
+    inverse_derivatives,
+    inverse_function,
+    oscillatory_integral,
+    perturbation_pair_check,
+    sublevel_check,
+)
 from .sharpness import endpoint_scaling_experiment, rootorder_scaling_experiment
 from .tiling import (
-    Tree,
-    _candidate_tops,
     build_tiles,
     forest_to_json,
     greedy_tree_selection,
-    tree_size,
-    tree_top,
+    set_size,
     whitney_decompose,
     whitney_pair_properties,
     whitney_properties,
@@ -315,8 +321,6 @@ def run_stationary(cfg, rng):
         )
         amp_p = SmoothFn(fn=fam.rho, domain=(0.5, 2.0))
         amp_n = SmoothFn(fn=fam.rho, domain=(-2.0, -0.5))
-        from .oscillatory import oscillatory_integral
-
         total = oscillatory_integral(ph, amp_p, 2.0**m, (0.5, 2.0))
         total += oscillatory_integral(ph, amp_n, 2.0**m, (-2.0, -0.5))
         t0 = -xi / (2 * eta)
@@ -539,16 +543,6 @@ def run_tiles(cfg, rng):
     n_grid = int(cfg["grid_n"])
     lo, hi = -0.5, 1.5
     xs = np.linspace(lo, hi, n_grid)
-
-    def set_size(tiles, which, data):
-        best = 0.0
-        for cand in _candidate_tops(tiles) if tiles else []:
-            sub = [t for t in tiles if cand.contains(t.interval)]
-            if sub:
-                tr = Tree(tiles=tuple(sub), top=tree_top(sub))
-                best = max(best, tree_size(tr, which, data, p, l, m))
-        return best
-
     rows = []
     last_forest = ([], [])
     for run in range(int(cfg["runs"])):
@@ -563,9 +557,9 @@ def run_tiles(cfg, rng):
         S = [all_tiles[i] for i in idx]
         forest, residual = greedy_tree_selection(S, which, data, p, l, m)
         last_forest = (forest, residual)
-        size_S = set_size(S, which, data)
+        size_S = set_size(S, which, data, p, l, m)
         thr = 0.5 ** (1.0 / p) * size_S
-        res_size = set_size(residual, which, data)
+        res_size = set_size(residual, which, data, p, l, m)
         tops = [t.top for t in forest]
         disjoint = all(tops[i].disjoint(tops[j]) for i in range(len(tops)) for j in range(i + 1, len(tops)))
         contain = True
@@ -711,6 +705,9 @@ def main(argv=None) -> int:
         rep = SUBCOMMANDS[name](cfg, rng)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if not rep.rows:
+        print("error: no cases checked", file=sys.stderr)
         return 1
     rep.runtime_s = time.perf_counter() - start
     rep.config = cfg

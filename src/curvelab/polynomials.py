@@ -22,6 +22,17 @@ __all__ = [
 ]
 
 
+def _as_floats(coeffs) -> list:
+    """coeffs as a list of floats; ValueError with a message when they are
+    not a sequence of numbers."""
+    if not isinstance(coeffs, (str, bytes)):
+        try:
+            return [float(c) for c in coeffs]
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"polynomial coefficients must be a sequence of numbers, got {coeffs!r}")
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial with ascending coefficients; coeffs[k] multiplies t^k."""
@@ -29,7 +40,7 @@ class Polynomial:
     coeffs: tuple
 
     def __init__(self, coeffs: Sequence[float]):
-        cs = [float(c) for c in coeffs]
+        cs = _as_floats(coeffs)
         while len(cs) > 1 and cs[-1] == 0.0:
             cs.pop()
         if not cs:

@@ -31,6 +31,7 @@ __all__ = [
     "build_tiles",
     "tree_top",
     "tree_size",
+    "set_size",
     "greedy_tree_selection",
     "forest_to_json",
 ]
@@ -469,6 +470,44 @@ def tree_size(
         fields = ctx.tile_squared_fields(tile)
         sq = fields if sq is None else sq + fields
     return ctx.size_from_squares(sq, T.top)
+
+
+def set_size(
+    tiles: Sequence[Tile],
+    which: int,
+    data: GridFunction,
+    p: float,
+    l: int,
+    m: int,
+    family: CutoffFamily = None,
+    psi_weights: Optional[ExceptionalWeights] = None,
+) -> float:
+    """k-size of a tile set: the largest tree_size over every candidate top,
+    each tree holding all the tiles under it; 0 for an empty set.
+
+    One _SizeContext serves every candidate, and each tile's squared fields
+    are computed once.  Fields are summed in tile order, as tree_size sums
+    them, so each candidate's size is bit-identical to tree_size's.
+    """
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+    tiles = list(tiles)
+    if not tiles:
+        return 0.0
+    ctx = _SizeContext(which, data, p, l, m, family, psi_weights)
+    fields = [ctx.tile_squared_fields(t) for t in tiles]
+    best = 0.0
+    seen = set()
+    for cand in _candidate_tops(tiles):
+        idx = tuple(i for i, t in enumerate(tiles) if cand.contains(t.interval))
+        if not idx or idx in seen:
+            continue
+        seen.add(idx)
+        sq = fields[idx[0]]
+        for i in idx[1:]:
+            sq = sq + fields[i]
+        best = max(best, ctx.size_from_squares(sq, tree_top([tiles[i] for i in idx])))
+    return best
 
 
 def _candidate_tops(tiles: Sequence[Tile]) -> list:

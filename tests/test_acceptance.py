@@ -22,12 +22,9 @@ from curvelab.scales import classify_scales, verify_cardinality_bound
 from curvelab.sharpness import endpoint_scaling_experiment, predicted_endpoint_exponent, rootorder_scaling_experiment
 from curvelab.signals import GridFunction, default_family, maximal_p
 from curvelab.tiling import (
-    Tree,
-    _candidate_tops,
     build_tiles,
     greedy_tree_selection,
-    tree_size,
-    tree_top,
+    set_size,
     whitney_decompose,
     whitney_pair_properties,
     whitney_properties,
@@ -276,15 +273,6 @@ def test_criterion_10_greedy_selection():
     rng = np.random.default_rng(10)
     p = 2.0
 
-    def set_size(tiles, which, data):
-        best = 0.0
-        for cand in _candidate_tops(tiles) if tiles else []:
-            sub = [t for t in tiles if cand.contains(t.interval)]
-            if sub:
-                tr = Tree(tiles=tuple(sub), top=tree_top(sub))
-                best = max(best, tree_size(tr, which, data, p, 2, 0))
-        return best
-
     failures = 0
     for run in range(500):
         which = 1 + (run % 2)
@@ -297,9 +285,9 @@ def test_criterion_10_greedy_selection():
         idx = rng.choice(len(all_tiles), size=k, replace=False)
         S = [all_tiles[i] for i in idx]
         forest, residual = greedy_tree_selection(S, which, data, p, 2, 0)
-        size_S = set_size(S, which, data)
+        size_S = set_size(S, which, data, p, 2, 0)
         thr = 0.5 ** (1.0 / p) * size_S
-        if set_size(residual, which, data) > thr * (1 + 1e-9):
+        if set_size(residual, which, data, p, 2, 0) > thr * (1 + 1e-9):
             failures += 1
             continue
         tops = [t.top for t in forest]

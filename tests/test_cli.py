@@ -84,6 +84,17 @@ class TestSchemaAndUsage:
     def test_unknown_subcommand(self, capsys):
         assert run_cli(["frobnicate"]) == 1
 
+    def test_empty_run_exit_1(self, tmp_path, capsys):
+        code = run_cli(["whitney", "--out", str(tmp_path), "--set", "count=-3"])
+        assert code == 1
+        assert "no cases checked" in capsys.readouterr().err
+        assert not (tmp_path / "whitney.csv").exists()
+
+    def test_bad_coefficients_exit_1(self, tmp_path, capsys):
+        code = run_cli(["classify", "--out", str(tmp_path), "--set", "coeffs=5"])
+        assert code == 1
+        assert "sequence of numbers" in capsys.readouterr().err
+
     def test_config_file_and_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"N": 5, "coeffs": [0, 0, 1.0]}))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from curvelab import oscillatory as osc
 from curvelab.cli import _random_monotone_quintic, fd_inverse_derivative
 from curvelab.oscillatory import (
     ChebTensor,
@@ -88,6 +89,82 @@ class TestOscillatoryIntegral:
         ph = smooth_poly([0, 1], (0, 1))
         with pytest.raises(ValueError, match="node budget"):
             oscillatory_integral(ph, amp, 1e12)
+
+
+def dense_gl(ph, amp, lam, a, b):
+    """Composite Gauss-Legendre with 4 panels (64 nodes) per period at least."""
+    sup_d = float(np.max(np.abs(ph.deriv(1)(np.linspace(a, b, 4097)))))
+    periods = abs(lam) * sup_d * (b - a) / (2 * math.pi)
+    return osc._composite_gl(ph, amp, lam, a, b, max(4096, 4 * math.ceil(periods)))
+
+
+class CountingFn:
+    """Wraps a vectorized function and counts the points it is evaluated at."""
+
+    def __init__(self, fn):
+        self.fn, self.points = fn, 0
+
+    def __call__(self, t):
+        self.points += np.size(t)
+        return self.fn(t)
+
+
+class TestLevinRoute:
+    """Intervals with no stationary point, where the Levin rule answers."""
+
+    def test_matches_dense_gl(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        cases = []
+        while len(cases) < 12:
+            P = Polynomial(rng.uniform(-1, 1, 5))
+            comp = ((0.5, 2.0), (-2.0, -0.5))[len(cases) % 2]
+            d = P.derivative().eval(np.linspace(*comp, 4097))
+            if np.all(d > 0) or np.all(d < 0):
+                cases.append((SmoothFn.from_polynomial(P, comp), comp, 2.0 ** rng.uniform(6, 12)))
+        refs = [dense_gl(ph, SmoothFn(fn=FAM.rho, domain=comp), lam, *comp) for ph, comp, lam in cases]
+
+        def no_gl(*args):
+            raise AssertionError("fell back to Gauss-Legendre")
+
+        monkeypatch.setattr(osc, "_composite_gl", no_gl)
+        for (ph, comp, lam), ref in zip(cases, refs):
+            amp = SmoothFn(fn=FAM.rho, domain=comp)
+            got = oscillatory_integral(ph, amp, lam, comp)
+            # the acceptance rule at the default rel_tol
+            assert abs(got - ref) <= 1e-8 * abs(ref) + osc._tol_floor(ph, amp, lam, *comp)
+
+    def test_work_independent_of_lambda(self):
+        # the CLI's stationary phase at its default pair (xi, eta) = (-2, 1)
+        ph = SmoothFn(
+            fn=lambda t: -2 * math.pi * (-2.0 * t + t**2),
+            domain=(0.5, 2.0),
+            derivs=(lambda t: -2 * math.pi * (-2.0 + 2 * t),),
+        )
+        points = []
+        for m in (10, 14):
+            rho = CountingFn(FAM.rho)
+            oscillatory_integral(ph, SmoothFn(fn=rho, domain=(-2.0, -0.5)), 2.0**m, (-2.0, -0.5))
+            points.append(rho.points)
+        assert points[0] == points[1]
+        assert points[0] < 10**4
+
+    def test_stationary_point_between_samples(self):
+        # phase' = (t - c)^2 + 1e-9 keeps one sign on the 4097 samples but
+        # nearly vanishes at c, halfway between two of them
+        a, b = 0.0, 1.0
+        xs = np.linspace(a, b, 4097)
+        amp = SmoothFn(fn=lambda t: np.exp(-np.asarray(t) ** 2), domain=(a, b))
+        for k in (1000, 2048, 3001):
+            c = 0.5 * (xs[k] + xs[k + 1])
+            ph = SmoothFn(
+                fn=lambda t, c=c: (np.asarray(t) - c) ** 3 / 3 + 1e-9 * np.asarray(t),
+                domain=(a, b),
+                derivs=(lambda t, c=c: (np.asarray(t) - c) ** 2 + 1e-9,),
+            )
+            for lam in (200.0, 2.0**11, 2.0**14):
+                got = oscillatory_integral(ph, amp, lam, (a, b))
+                ref = dense_gl(ph, amp, lam, a, b)
+                assert abs(got - ref) <= 1e-8 * abs(ref) + osc._tol_floor(ph, amp, lam, a, b)
 
 
 class TestSublevel:

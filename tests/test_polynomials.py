@@ -40,6 +40,11 @@ class TestEval:
         ts = np.array([0.0, 1.0, 2.0])
         np.testing.assert_allclose(P.eval(ts), [0.0, 3.0, 16.0])
 
+    @pytest.mark.parametrize("bad", [5, "12", [[1.0, 2.0]], [0.0, "x"], None])
+    def test_non_numeric_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="sequence of numbers"):
+            Polynomial(bad)
+
 
 class TestDerivative:
     def test_square(self):

@@ -18,6 +18,7 @@ from curvelab.tiling import (
     exceptional_set,
     forest_to_json,
     greedy_tree_selection,
+    set_size,
     tree_size,
     tree_top,
     whitney_decompose,
@@ -252,6 +253,18 @@ class TestTreeSize:
         one = tree_size(tr, 1, data, 2.0, 2, 0, single_summand=True)
         assert one <= three
         assert one > 0
+
+    def test_set_size_matches_brute_force(self):
+        # one shared context must not change a bit of any candidate's size;
+        # seed 14 includes a set whose size summed in reverse tile order differs
+        rng = np.random.default_rng(14)
+        tiles = build_tiles(tile_partition(4), 2, 0, (0.0, 1.0))
+        for trial in range(12):
+            which = 1 + (trial % 2)
+            S = [tiles[i] for i in rng.choice(len(tiles), size=int(rng.integers(1, len(tiles) + 1)), replace=False)]
+            data = make_data(rng)
+            assert set_size(S, which, data, 2.0, 2, 0) == brute_force_set_size(S, which, data, 2.0)
+        assert set_size([], 1, data, 2.0, 2, 0) == 0.0
 
     def test_empty_tree_rejected(self):
         with pytest.raises(ValueError):
