@@ -38,6 +38,7 @@ from .tiling import (
     build_tiles,
     forest_to_json,
     greedy_tree_selection,
+    random_open_set,
     set_size,
     whitney_decompose,
     whitney_pair_properties,
@@ -501,10 +502,7 @@ def run_pairs(cfg, rng):
 @subcommand("whitney")
 def run_whitney(cfg, rng):
     def one(seed):
-        local = np.random.default_rng(seed)
-        k = int(local.integers(1, int(cfg["max_components"]) + 1))
-        pts = np.sort(local.uniform(-10, 10, 2 * k))
-        omega = [(pts[2 * i], pts[2 * i + 1]) for i in range(k) if pts[2 * i + 1] - pts[2 * i] > 1e-4]
+        omega = random_open_set(seed, int(cfg["max_components"]))
         if not omega:
             return None
         cells = whitney_decompose(omega)
@@ -653,6 +651,23 @@ def _parse_override(text):
     return key, value
 
 
+def _kind(value) -> str:
+    """The JSON kind of a config value: number, list, object, or another."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return {list: "list", dict: "object"}.get(type(value), type(value).__name__)
+
+
+def _kind_error(key, value, default):
+    """A message when value is not of the JSON kind of the field's default."""
+    want = _kind(default)
+    if _kind(value) == want:
+        return None
+    if want == "list" and all(_kind(v) == "number" for v in default):
+        want = "sequence of numbers"
+    return f"config field {key!r} must be a {want}, got {value!r}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="curvelab", description=__doc__)
     parser.add_argument("subcommand", choices=sorted(SUBCOMMANDS))
@@ -671,6 +686,7 @@ def main(argv=None) -> int:
         print(SCHEMAS[name])
         return 0
     cfg = dict(DEFAULTS[name])
+    overrides = []
     if args.config:
         try:
             with open(args.config) as fh:
@@ -678,11 +694,14 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 1
+        if not isinstance(user, dict):
+            print("error: config file must hold a JSON object", file=sys.stderr)
+            return 1
         unknown = set(user) - set(cfg)
         if unknown:
             print(f"error: unknown config fields: {sorted(unknown)}", file=sys.stderr)
             return 1
-        cfg.update(user)
+        overrides.extend(user.items())
     for text in args.set:
         try:
             key, value = _parse_override(text)
@@ -691,6 +710,12 @@ def main(argv=None) -> int:
             return 1
         if key not in cfg:
             print(f"error: unknown config field {key!r}", file=sys.stderr)
+            return 1
+        overrides.append((key, value))
+    for key, value in overrides:
+        message = _kind_error(key, value, DEFAULTS[name][key])
+        if message:
+            print(f"error: {message}", file=sys.stderr)
             return 1
         cfg[key] = value
     if args.seed is not None:

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .oscillatory import SmoothFn, oscillatory_integral, q_perturbation
-from .polynomials import Polynomial
-from .signals import CutoffFamily, GridFunction, default_family, lp_norm
+from .polynomials import Polynomial, bands
+from .signals import CutoffFamily, GridFunction, _trapezoid_weights, default_family, lp_norm
 
 __all__ = [
     "OperatorResult",
@@ -28,7 +28,6 @@ __all__ = [
     "restricted_Tjh",
     "multiplier_Mmn",
     "operator_ratio",
-    "per_scale_json",
 ]
 
 _COMPONENTS = ((0.5, 2.0), (-2.0, -0.5))
@@ -44,11 +43,7 @@ class OperatorResult:
 
 
 def _quad_nodes(a: float, b: float, n: int):
-    ts = np.linspace(a, b, n)
-    w = np.full(n, (b - a) / (n - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return ts, w
+    return np.linspace(a, b, n), _trapezoid_weights(n) * ((b - a) / (n - 1))
 
 
 def _bilinear_sum(f, g, P, scale, x, subintervals, family, nodes_per_unit):
@@ -151,48 +146,6 @@ def apply_M(
     return f.with_values(best)
 
 
-def _band_subintervals(fn, lo_level, hi_level, component, samples=4096, refine_width=1e-12):
-    """Subintervals of the component where lo_level <= fn <= hi_level.
-
-    Band membership is sampled, then every boundary is sharpened by bisection.
-    fn must be continuous; returns a list of (a, b).
-    """
-    a, b = component
-    xs = np.linspace(a, b, samples + 1)
-    vals = fn(xs)
-    inside = (vals >= lo_level) & (vals <= hi_level)
-    if not inside.any():
-        return []
-
-    width = (b - a) * refine_width
-
-    def refine(x0, x1, into_inside):
-        # locate the membership flip between x0 (state != into) and x1
-        while x1 - x0 > width:
-            mid = 0.5 * (x0 + x1)
-            v = float(fn(np.asarray(mid)))
-            if (lo_level <= v <= hi_level) == into_inside:
-                x1 = mid
-            else:
-                x0 = mid
-        return 0.5 * (x0 + x1)
-
-    out = []
-    start = xs[0] if inside[0] else None
-    for i in range(samples):
-        if inside[i] != inside[i + 1]:
-            if inside[i + 1]:
-                start = refine(xs[i], xs[i + 1], True)
-            else:
-                end = refine(xs[i], xs[i + 1], False)
-                if start is not None and end > start:
-                    out.append((start, end))
-                start = None
-    if start is not None:
-        out.append((start, xs[-1]))
-    return out
-
-
 def _derivative_of_curve(P: Polynomial, j: int):
     """s -> d/ds P(2^-j s) = 2^-j P'(2^-j s)."""
     scale = 2.0 ** (-j)
@@ -222,17 +175,18 @@ def restricted_Tj_alpha(
     scale = 2.0 ** (-j)
     x = f.x
     nodes_per_unit = nodes_per_component / 1.5
+
+    def in_band(s):
+        v = np.abs(G(s))
+        return (v >= alpha) & (v <= 2.0 * alpha)
+
     subs = []
     measure = 0.0
-    for comp in _COMPONENTS:
-        bands = _band_subintervals(lambda s: np.abs(G(s)), alpha, 2.0 * alpha, comp)
-        subs.extend(bands)
-        measure += sum(b - a for a, b in bands)
-    vals = (
-        _bilinear_sum(f, g, P, scale, x, subs, family, nodes_per_unit)
-        if subs
-        else np.zeros(f.n)
-    )
+    for a, b in _COMPONENTS:
+        found = bands(in_band, a, b, 4096, (b - a) * 1e-12)
+        subs.extend(found)
+        measure += sum(hi - lo for lo, hi in found)
+    vals = _bilinear_sum(f, g, P, scale, x, subs, family, nodes_per_unit)
     return OperatorResult(
         output=f.with_values(vals),
         nodes_per_component=nodes_per_component,
@@ -260,7 +214,6 @@ def restricted_Tjh(
     P.require_no_linear_term()
     G = _derivative_of_curve(P, j)
     sj = 2.0 ** (-j)
-    scale = sj
     x = f.x
     nodes_per_unit = nodes_per_component / 1.5
 
@@ -268,17 +221,13 @@ def restricted_Tjh(
         v = G(s)
         in_e0 = (v > 0.5 * sj) & (v < 2.0 * sj)
         dev = np.abs(v - sj)
-        return np.where(in_e0 & (dev >= h * sj) & (dev <= 2.0 * h * sj), 1.0, -1.0)
+        return in_e0 & (dev >= h * sj) & (dev <= 2.0 * h * sj)
 
     subs = []
-    for comp in _COMPONENTS:
-        subs.extend(_band_subintervals(member, 0.0, 2.0, comp))
+    for a, b in _COMPONENTS:
+        subs.extend(bands(member, a, b, 4096, (b - a) * 1e-12))
     measure = sum(b - a for a, b in subs)
-    vals = (
-        _bilinear_sum(f, g, P, scale, x, subs, family, nodes_per_unit)
-        if subs
-        else np.zeros(f.n)
-    )
+    vals = _bilinear_sum(f, g, P, sj, x, subs, family, nodes_per_unit)
     result = OperatorResult(
         output=f.with_values(vals),
         nodes_per_component=nodes_per_component,
@@ -341,9 +290,3 @@ def operator_ratio(Tfg: GridFunction, f: GridFunction, g: GridFunction, p1: floa
         raise ValueError("zero denominator: input norms vanish")
     return lp_norm(Tfg, r) / denom
 
-
-def per_scale_json(result: OperatorResult) -> list:
-    """Per-scale breakdown as a JSON-ready array keyed by j."""
-    if result.j_terms is None:
-        raise ValueError("result carries no per-scale terms; pass retain_terms=True")
-    return [{"j": j, "grid": term.to_json_dict()} for j, term in sorted(result.j_terms.items())]

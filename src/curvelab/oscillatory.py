@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 from scipy.fft import dct as _dct
 
-from .polynomials import Polynomial, truncate_term
+from .polynomials import Polynomial, _eval_vec, bisect, truncate_term
 from .report import ExperimentReport
 from .signals import GridFunction
 from . import polynomials as _poly
@@ -76,10 +76,6 @@ class SmoothFn:
             ders.append(q.eval)
         return cls(fn=P.eval, domain=(float(domain[0]), float(domain[1])), derivs=tuple(ders))
 
-    @classmethod
-    def from_callable(cls, fn: Callable, domain) -> "SmoothFn":
-        return cls(fn=fn, domain=(float(domain[0]), float(domain[1])))
-
     def minus(self, other: "SmoothFn") -> "SmoothFn":
         n = min(len(self.derivs), len(other.derivs))
         ders = tuple(
@@ -125,13 +121,6 @@ def _lobatto_differentiation(n: int) -> tuple:
 
 _LOBATTO_X, _LOBATTO_D = _lobatto_differentiation(25)
 _LEVIN_STACK = 512  # panels per batched solve: 512 * 25^2 complex entries = 5 MB
-
-
-def _eval_vec(fn: Callable, xs: np.ndarray) -> np.ndarray:
-    v = np.asarray(fn(xs))
-    if v.shape != xs.shape:
-        v = np.broadcast_to(v, xs.shape).copy()
-    return v
 
 
 def _sampled_derivative(phase: SmoothFn, a: float, b: float) -> np.ndarray:
@@ -343,16 +332,7 @@ def phase_phi(P: Polynomial, l: int, j: float, xi: float, eta: float, component=
     candidates = []
     d2 = dpsi.derivative()
     for i in flips:
-        lo, hi = xs[i], xs[i + 1]
-        flo = dpsi.eval(lo)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = dpsi.eval(mid)
-            if (flo < 0) != (fm < 0):
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        t0 = 0.5 * (lo + hi)
+        t0 = bisect(dpsi.eval, xs[i], xs[i + 1])
         for _ in range(60):
             f, df = dpsi.eval(t0), d2.eval(t0)
             if df == 0.0:
@@ -440,21 +420,8 @@ def inverse_function(F: SmoothFn, a: float, interval=None) -> float:
         raise ValueError(f"target {a} outside range [{vals[0]}, {vals[-1]}]")
     i = int(np.searchsorted(vals, a).clip(1, len(vals) - 1))
     t_lo, t_hi = sorted((xs[i - 1], xs[i]))
-    f_lo = float(F.fn(t_lo)) - a
-    have_deriv = F.derivative_order_available >= 1
-    for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        if mid == t_lo or mid == t_hi:
-            break
-        fm = float(F.fn(mid)) - a
-        if abs(fm) <= 1e-13 and not have_deriv:
-            return mid
-        if (f_lo < 0) != (fm < 0):
-            t_hi = mid
-        else:
-            t_lo, f_lo = mid, fm
-    t = 0.5 * (t_lo + t_hi)
-    if have_deriv:
+    t = bisect(lambda t: F.fn(t) - a, t_lo, t_hi)
+    if F.derivative_order_available >= 1:
         # polish all the way to the rounding floor: downstream finite
         # differences divide by h^4 and feel every spare ulp
         for _ in range(50):

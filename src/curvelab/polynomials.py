@@ -1,6 +1,9 @@
 """Polynomial arithmetic, real root isolation with multiplicities, and
 sublevel/level-set measure estimation.
 
+`bisect` and `bands` are the one bracketed solver and the one band finder
+behind every root, crossing, inverse and band search in the package.
+
 Curve polynomials P(t) = a_d t^d + ... + a_2 t^2 carry no constant and no
 linear term; derived objects (P', P' - 1, ...) may carry both, so the class
 stores the full ascending coefficient tuple (a_0, a_1, ..., a_d).
@@ -18,6 +21,8 @@ __all__ = [
     "truncate_term",
     "real_roots_with_orders",
     "level_set_measure",
+    "bisect",
+    "bands",
     "fit_decay_exponent",
 ]
 
@@ -101,13 +106,6 @@ class Polynomial:
         cs[0] -= c
         return Polynomial(cs)
 
-    def scale_argument(self, s: float) -> "Polynomial":
-        """t -> P(s*t)."""
-        return Polynomial(tuple(c * s**k for k, c in enumerate(self.coeffs)))
-
-    def scale(self, c: float) -> "Polynomial":
-        return Polynomial(tuple(c * a for a in self.coeffs))
-
     def has_linear_term(self, tol: float = 0.0) -> bool:
         return abs(self.coefficient(1)) > tol
 
@@ -117,6 +115,56 @@ class Polynomial:
                 "polynomial must have zero constant and zero linear term; "
                 f"got a_0={self.coefficient(0)!r}, a_1={self.coefficient(1)!r}"
             )
+
+
+def _eval_vec(fn: Callable, xs: np.ndarray) -> np.ndarray:
+    """fn at the points xs, broadcast to their shape (fn may return a constant)."""
+    v = np.asarray(fn(xs))
+    if v.shape != xs.shape:
+        v = np.broadcast_to(v, xs.shape).copy()
+    return v
+
+
+def bisect(f: Callable, lo: float, hi: float, width: float = 0.0) -> float:
+    """A point where f changes sign in [lo, hi], which must bracket a change.
+
+    The bracket is halved, keeping the half over which the sign of f flips,
+    while it is wider than width and its midpoint falls strictly inside; the
+    last midpoint is returned.  With width = 0 that is the floating-point
+    limit.  Only the test f(t) < 0 is used, so f may be any real function,
+    a band indicator mapped to +-1 included.
+    """
+    neg_lo = f(lo) < 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not hi - lo > width or mid == lo or mid == hi:
+            return mid
+        if (f(mid) < 0) != neg_lo:
+            hi = mid
+        else:
+            lo = mid
+
+
+def bands(inside: Callable, lo: float, hi: float, samples: int, width: float) -> list:
+    """Maximal subintervals (a, b) of [lo, hi] on which inside holds.
+
+    inside maps an array of points to booleans.  It is sampled at samples + 1
+    equispaced points, and every flip between neighbours is refined by
+    bisection to width; a band thinner than one sample cell can be missed.
+    """
+    xs = np.linspace(lo, hi, samples + 1)
+    mask = inside(xs)
+    flips = np.nonzero(mask[1:] != mask[:-1])[0]
+
+    def sign(t):
+        return -1.0 if inside(t) else 1.0
+
+    edges = [bisect(sign, xs[i], xs[i + 1], width) for i in flips]
+    if mask[0]:
+        edges.insert(0, xs[0])
+    if mask[-1]:
+        edges.append(xs[-1])
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def truncate_term(P: Polynomial, l: int) -> Polynomial:
@@ -133,22 +181,6 @@ def _effective_degree(P: Polynomial, floor: float = 0.0) -> int:
         if abs(P.coeffs[k]) > floor:
             return k
     return -1
-
-
-def _bisect_root(P: Polynomial, a: float, b: float) -> float:
-    fa = P.eval(a)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        fm = P.eval(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0) != (fm < 0):
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
 
 
 def _newton_polish(P: Polynomial, r: float, lo: float, hi: float, steps: int = 60) -> float:
@@ -194,7 +226,7 @@ def _roots_recursive(P: Polynomial, lo: float, hi: float, tol: float) -> list:
         if fa == 0.0:
             roots.append(a)
         if (fa < 0) != (fb < 0) and fa != 0.0 and fb != 0.0:
-            roots.append(_newton_polish(P, _bisect_root(P, a, b), lo, hi))
+            roots.append(_newton_polish(P, bisect(P.eval, a, b), lo, hi))
     if vals and vals[-1] == 0.0:
         roots.append(breaks[-1])
     # even-order roots produce no sign change; they sit at critical points
@@ -244,57 +276,20 @@ def real_roots_with_orders(P: Polynomial, interval, tol: float) -> list:
     return out
 
 
-def _eval_vectorized(g: Callable, xs: np.ndarray) -> np.ndarray:
-    v = g(xs)
-    v = np.asarray(v, dtype=float)
-    if v.shape != xs.shape:
-        v = np.broadcast_to(v, xs.shape).copy()
-    return v
-
-
-def _refine_crossing(g: Callable, h: float, a: float, b: float, width: float) -> float:
-    """Bisect |g| - h sign change on [a, b] down to the requested width."""
-    fa = abs(float(g(a))) - h
-    while b - a > width:
-        m = 0.5 * (a + b)
-        fm = abs(float(g(m))) - h
-        if (fa < 0) != (fm < 0):
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
 def level_set_measure(g: Callable, h: float, domain, resolution: int = 4096) -> float:
     """Lebesgue measure of {t in domain : |g(t)| < h}.
 
-    Uniform sampling locates the components; every threshold crossing is
-    refined by bisection to width (hi-lo)*1e-9, so the error is dominated
-    by features thinner than one sample cell.
+    The summed length of the bands of |g| < h found at this resolution, with
+    every threshold crossing refined to width (hi-lo)*1e-9, so the error is
+    dominated by features thinner than one sample cell.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     if resolution < 1024:
         raise ValueError("resolution must be >= 1024")
     lo, hi = float(domain[0]), float(domain[1])
-    xs = np.linspace(lo, hi, resolution + 1)
-    inside = np.abs(_eval_vectorized(g, xs)) < h
-    if not inside.any():
-        return 0.0
-    width = (hi - lo) * 1e-9
-    flips = np.nonzero(inside[1:] != inside[:-1])[0]
-    boundaries = [_refine_crossing(g, h, xs[i], xs[i + 1], width) for i in flips]
-    measure = 0.0
-    start = lo if inside[0] else None
-    for i, b in enumerate(boundaries):
-        if start is None:
-            start = b
-        else:
-            measure += b - start
-            start = None
-    if start is not None:
-        measure += hi - start
-    return measure
+    found = bands(lambda t: np.abs(_eval_vec(g, t)) < h, lo, hi, resolution, (hi - lo) * 1e-9)
+    return sum((b - a for a, b in found), 0.0)
 
 
 def fit_decay_exponent(pairs) -> tuple:

@@ -57,20 +57,6 @@ class ExperimentReport:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=1, default=_jsonable)
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentReport":
-        with open(path) as fh:
-            d = json.load(fh)
-        return cls(
-            name=d["name"],
-            rows=d["rows"],
-            fitted=d["fitted"],
-            passed=d["passed"],
-            flags=d["flags"],
-            runtime_s=d["runtime_s"],
-            config=d["config"],
-        )
-
 
 def _jsonable(v):
     try:

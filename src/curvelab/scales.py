@@ -9,7 +9,6 @@ cardinality bound.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -214,7 +213,3 @@ def partition_to_json(partition: ScalePartition) -> dict:
             for j in range(partition.j_min, partition.j_max + 1)
         ],
     }
-
-
-def partition_to_json_str(partition: ScalePartition) -> str:
-    return json.dumps(partition_to_json(partition))

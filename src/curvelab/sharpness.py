@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polynomials import Polynomial, fit_decay_exponent, real_roots_with_orders
+from .polynomials import Polynomial, bisect, fit_decay_exponent, real_roots_with_orders
 from .report import ExperimentReport
-from .signals import CutoffFamily, GridFunction, default_family, lp_norm
+from .signals import CutoffFamily, GridFunction, _trapezoid_weights, default_family, lp_norm
 
 __all__ = [
     "CounterexampleInstance",
@@ -67,28 +67,6 @@ def _integrate_rho(family: CutoffFamily, a: float, b: float) -> float:
     return float(np.sum(_GL64[1] * family.rho(ts))) * 0.5 * (b - a)
 
 
-def _invert_monotone(fun, target, lo, hi, tol=1e-15):
-    """Solve fun(t) = target on [lo, hi] where fun is monotone, by bisection."""
-    f_lo = fun(lo) - target
-    f_hi = fun(hi) - target
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo < 0) == (f_hi < 0):
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - lo < tol * max(1.0, abs(mid)) or mid == lo or mid == hi:
-            break
-        fm = fun(mid) - target
-        if (f_lo < 0) != (fm < 0):
-            hi = mid
-        else:
-            lo, f_lo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def _window_interval(P: Polynomial, x: float, g_lo: float, g_hi: float, t_lo: float, t_hi: float):
     """{t in [t_lo, t_hi] : x - P(t) in [g_lo, g_hi]} for P monotone there."""
     v_lo = x - P.eval(t_hi)
@@ -99,15 +77,20 @@ def _window_interval(P: Polynomial, x: float, g_lo: float, g_hi: float, t_lo: fl
     hi_cut = min(g_hi, v_hi)
     if lo_cut >= hi_cut:
         return None
-    fun = lambda t: x - P.eval(t)
+    width = 2e-15 * max(1.0, abs(t_lo), abs(t_hi))
+
+    def solve(target):
+        """The t where x - P(t) = target; target lies strictly inside its range."""
+        return bisect(lambda t: x - P.eval(t) - target, t_lo, t_hi, width)
+
     increasing = (x - P.eval(t_hi)) > (x - P.eval(t_lo))
     if increasing:
-        a = _invert_monotone(fun, lo_cut, t_lo, t_hi) if lo_cut > v_lo else t_lo
-        b = _invert_monotone(fun, hi_cut, t_lo, t_hi) if hi_cut < v_hi else t_hi
+        a = solve(lo_cut) if lo_cut > v_lo else t_lo
+        b = solve(hi_cut) if hi_cut < v_hi else t_hi
     else:
-        a = _invert_monotone(fun, hi_cut, t_lo, t_hi) if hi_cut < v_hi else t_lo
-        b = _invert_monotone(fun, lo_cut, t_lo, t_hi) if lo_cut > v_lo else t_hi
-    if a is None or b is None or b <= a:
+        a = solve(hi_cut) if hi_cut < v_hi else t_lo
+        b = solve(lo_cut) if lo_cut > v_lo else t_hi
+    if b <= a:
         return None
     return a, b
 
@@ -206,9 +189,7 @@ def endpoint_scaling_experiment(
         w_lo, w_hi = inst.window
         xs = np.linspace(w_lo, w_hi, n_window)
         vals = np.array([t0_endpoint_value(inst, float(x), family) for x in xs])
-        wq = np.full(n_window, (w_hi - w_lo) / (n_window - 1))
-        wq[0] *= 0.5
-        wq[-1] *= 0.5
+        wq = _trapezoid_weights(n_window) * ((w_hi - w_lo) / (n_window - 1))
         norm_r = float(np.sum(wq * vals**r)) ** (1.0 / r)
         ratio = norm_r / (lp_norm(inst.f, p1) * lp_norm(inst.g, p2))
         rows.append({"delta": delta, "ratio": ratio})
@@ -327,9 +308,7 @@ def rootorder_scaling_experiment(
         w_lo, w_hi = inst.window
         xs = np.linspace(w_lo, w_hi, n_window)
         vals = np.array([rootorder_kernel_value(inst, float(x)) for x in xs])
-        wq = np.full(n_window, (w_hi - w_lo) / (n_window - 1))
-        wq[0] *= 0.5
-        wq[-1] *= 0.5
+        wq = _trapezoid_weights(n_window) * ((w_hi - w_lo) / (n_window - 1))
         norm_r = float(np.sum(wq * vals**r)) ** (1.0 / r)
         ratio = norm_r / (lp_norm(inst.f, p1) * lp_norm(inst.g, p2))
         rows.append({"delta": delta, "ratio": ratio})

@@ -17,7 +17,7 @@ from scipy.special import sici
 
 from .report import ExperimentReport
 from .scales import ScalePartition, shifted_scale_set
-from .signals import CutoffFamily, GridFunction, default_family, hl_maximal, lp_norm, multiplier_piece
+from .signals import CutoffFamily, GridFunction, _trapezoid_weights, default_family, hl_maximal, lp_norm, multiplier_piece
 
 __all__ = [
     "DyadicInterval",
@@ -25,6 +25,7 @@ __all__ = [
     "Tree",
     "ExceptionalWeights",
     "exceptional_set",
+    "random_open_set",
     "whitney_decompose",
     "whitney_properties",
     "whitney_pair_properties",
@@ -142,6 +143,16 @@ def exceptional_set(F1: GridFunction, F2: GridFunction, F3: GridFunction, C: flo
 def _dist_to_boundary(lo: float, hi: float, comp) -> float:
     c, d = comp
     return min(lo - c, d - hi)
+
+
+def random_open_set(seed: int, max_components: int) -> list:
+    """Up to max_components disjoint intervals in (-10, 10), drawn from
+    np.random.default_rng(seed): 2k sorted uniform endpoints for k uniform in
+    1..max_components, keeping the intervals longer than 1e-4.  May be empty."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, max_components + 1))
+    pts = np.sort(rng.uniform(-10, 10, 2 * k))
+    return [(pts[2 * i], pts[2 * i + 1]) for i in range(k) if pts[2 * i + 1] - pts[2 * i] > 1e-4]
 
 
 def whitney_decompose(omega, defect_budget: float = 2.0**-35) -> list:
@@ -438,8 +449,7 @@ class _SizeContext:
 
     def size_from_squares(self, sq_sum: np.ndarray, top: DyadicInterval) -> float:
         step = self.data.step
-        wts = np.ones(self.data.n)
-        wts[0] = wts[-1] = 0.5
+        wts = _trapezoid_weights(self.data.n)
         total = 0.0
         for row in sq_sum:
             norm_p = float(np.sum(wts * np.sqrt(row) ** self.p) * step) ** (1.0 / self.p)

@@ -24,6 +24,7 @@ from curvelab.signals import GridFunction, default_family, maximal_p
 from curvelab.tiling import (
     build_tiles,
     greedy_tree_selection,
+    random_open_set,
     set_size,
     whitney_decompose,
     whitney_pair_properties,
@@ -238,11 +239,8 @@ def test_criterion_9_whitney_suite():
     cases = 0
     seed = 0
     while cases < 10_000:
-        local = np.random.default_rng(seed)
+        omega = random_open_set(seed, 8)
         seed += 1
-        k = int(local.integers(1, 9))
-        pts = np.sort(local.uniform(-10, 10, 2 * k))
-        omega = [(pts[2 * i], pts[2 * i + 1]) for i in range(k) if pts[2 * i + 1] - pts[2 * i] > 1e-4]
         if not omega:
             continue
         cases += 1

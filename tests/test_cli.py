@@ -14,7 +14,8 @@ def run_cli(args):
 
 # SHA-256 of every subcommand's CSV at its default config.  A refactor of the
 # numerics must leave these bytes alone; a deliberate output change updates
-# the digest together with a note of why it moved.
+# the digest together with a note of why it moved.  Taken with Python 3.11.7,
+# numpy 2.4.6 and scipy 1.17.1 on x86-64; other builds may round differently.
 GOLDEN_CSV_SHA256 = {
     "apply-M": "71351290e9845c5fd74942d427fc11dc7a07ef26b7bf31224e7d0129a1839305",
     "apply-T": "b287f240fd6344eb51f1edf62b72cce85480e07f8a6fc946bf332851beb18e2e",
@@ -140,6 +141,28 @@ class TestSchemaAndUsage:
         code = run_cli(["classify", "--out", str(tmp_path), "--set", "coeffs=5"])
         assert code == 1
         assert "sequence of numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,override", [
+        ("levelset", "orders=5"),
+        ("tiles", "j_range=5"),
+        ("apply-T", "f=3"),
+    ])
+    def test_wrong_json_kind_exit_1(self, tmp_path, capsys, name, override):
+        code = run_cli([name, "--out", str(tmp_path), "--set", override])
+        assert code == 1
+        field = override.split("=")[0]
+        assert f"config field {field!r}" in capsys.readouterr().err
+        assert not (tmp_path / f"{name}.csv").exists()
+
+    def test_wrong_json_kind_in_config_file_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"count": [20]}))
+        code = run_cli(["inverse", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        assert "config field 'count' must be a number" in capsys.readouterr().err
+        cfg.write_text("5")
+        assert run_cli(["inverse", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "JSON object" in capsys.readouterr().err
 
     def test_config_file_and_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from curvelab.polynomials import (
     Polynomial,
+    bands,
+    bisect,
     fit_decay_exponent,
     level_set_measure,
     real_roots_with_orders,
@@ -140,6 +142,60 @@ class TestRoots:
         P = Polynomial(coeffs)
         found = real_roots_with_orders(P, (-3, 3), 1e-7)
         assert sum(o for _, o in found) <= P.degree
+
+
+class TestBisect:
+    @given(st.floats(min_value=-5, max_value=5), st.floats(min_value=-4, max_value=4))
+    def test_floating_point_limit(self, root, offset):
+        f = lambda t: t - root
+        lo, hi = min(root, offset) - 1.0, max(root, offset) + 1.0
+        t = bisect(f, lo, hi)
+        # the bracket ends one ulp apart, so the root is at most one ulp away
+        assert abs(t - root) <= np.spacing(abs(root)) + 1e-300
+
+    def test_width_stops_early(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t - 0.3
+
+        t = bisect(f, 0.0, 1.0, width=2.0**-10)
+        assert abs(t - 0.3) <= 2.0**-11
+        assert len(calls) == 11  # f(lo), then one per halving
+
+    def test_decreasing_and_indicator(self):
+        assert bisect(lambda t: 1.0 - t, 0.0, 4.0) == pytest.approx(1.0, abs=1e-15)
+        edge = bisect(lambda t: -1.0 if t < 0.7 else 1.0, 0.0, 1.0, width=1e-12)
+        assert abs(edge - 0.7) <= 1e-12
+
+
+class TestBands:
+    def test_matches_exact_intervals(self):
+        # |sin(3t)| < 1/2 on [0, 2]: [0, pi/18), (5pi/18, 7pi/18), (11pi/18, 2]
+        found = bands(lambda t: np.abs(np.sin(3 * t)) < 0.5, 0.0, 2.0, 1024, 1e-12)
+        exact = [(0.0, math.pi / 18), (5 * math.pi / 18, 7 * math.pi / 18), (11 * math.pi / 18, 2.0)]
+        assert len(found) == len(exact)
+        for (a, b), (ea, eb) in zip(found, exact):
+            assert a == pytest.approx(ea, abs=1e-11)
+            assert b == pytest.approx(eb, abs=1e-11)
+
+    def test_empty_and_full(self):
+        assert bands(lambda t: np.abs(t) > 5, -1.0, 1.0, 64, 1e-9) == []
+        assert bands(lambda t: np.abs(t) < 5, -1.0, 1.0, 64, 1e-9) == [(-1.0, 1.0)]
+
+    @given(st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=2, max_size=8, unique=True))
+    def test_polynomial_sign_bands_vs_dense_sampler(self, roots):
+        roots = sorted(roots)
+        if min(np.diff(roots)) < 0.01:
+            return
+        P = Polynomial(np.polynomial.polynomial.polyfromroots(roots))
+        found = bands(lambda t: P.eval(t) < 0, 0.0, 1.0, 4096, 1e-12)
+        xs = np.linspace(0.0, 1.0, 200_001)
+        dense = float(np.mean(P.eval(xs) < 0))
+        assert sum(b - a for a, b in found) == pytest.approx(dense, abs=2e-5)
+        for a, b in found:
+            assert P.eval(0.5 * (a + b)) < 0
 
 
 class TestLevelSet:
