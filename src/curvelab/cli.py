@@ -2,9 +2,9 @@
 reads a JSON config, runs deterministically under a seed, and writes
 <out>/<subcommand>.csv plus <out>/<subcommand>.json.
 
-Exit codes: 0 all checks passed, 2 an asserted bound failed, 1 usage error
-(a config that leaves no case to check counts as one).
-CURVELAB_THREADS caps the worker pool for parameter ladders.
+Exit codes: 0 all checks passed; 1 a usage error or a bad config value (a
+config that leaves no case to check counts as one); 2 a check failed or an
+asserted bound broke.  Errors and broken bounds print one `error:` line.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .polynomials import Polynomial, fit_decay_exponent, level_set_measure, real_roots_with_orders
 from .report import ExperimentReport
-from .scales import cardinality_bound, classify_scales, partition_to_json, verify_cardinality_bound
+from .scales import classify_scales, partition_to_json, verify_cardinality_bound
 from .signals import GridFunction, default_family, maximal_p
 from .operators import apply_M, apply_Tj, multiplier_Mmn
 from .oscillatory import (
@@ -47,176 +46,56 @@ from .tiling import (
 
 SUBCOMMANDS = {}
 
-DEFAULTS = {
-    "classify": {
-        "coeffs": [0.0, 0.0, 1.0, 1.0],
-        "N": 8,
-        "j_range": [-170, 170],
-        "seed": 0,
-    },
-    "levelset": {
-        "orders": [1, 2, 3],
-        "count": 6,
-        "h_ladder": [2.0**-k for k in range(4, 15)],
-        "seed": 0,
-    },
-    "sharpness": {
-        "d": 2,
-        "r": 0.5,
-        "p1": 1.0,
-        "p2": 1.0,
-        "deltas": [2.0**-k for k in range(6, 15)],
-        "grid_resolution": 64,
-        "seed": 0,
-    },
-    "rootorder": {
-        "coeffs": [0.0, 0.0, 0.0, 1.0],
-        "k0": 1,
-        "r": 1.0,
-        "p1": 2.0,
-        "p2": 2.0,
-        "deltas": [2.0**-k for k in range(8, 17)],
-        "A_big": 20.0,
-        "seed": 0,
-    },
-    "vdc": {
-        "u_coeffs": [0.0, 0.0, 0.5],
-        "k": 2,
-        "alphas": [2.0**-k for k in range(2, 17)],
-        "interval": [-1.0, 1.0],
-        "ratio_cap": 16.0,
-        "seed": 0,
-    },
-    "stationary": {
-        "pairs": [[-2.0, 1.0], [-1.5, 1.0], [-2.6, 1.0]],
-        "m_list": [10, 12, 14],
-        "rel_tol": 0.02,
-        "seed": 0,
-    },
-    "inverse": {
-        "count": 20,
-        "n_max": 4,
-        "fd_step": 0.06,
-        "rel_tol": 1e-6,
-        "seed": 0,
-    },
-    "pairs": {
-        "count": 10,
-        "K": 6,
-        "N": 30,
-        "seed": 0,
-    },
-    "whitney": {
-        "count": 200,
-        "max_components": 8,
-        "seed": 0,
-    },
-    "tiles": {
-        "coeffs": [0.0, 0.0, 1.0, 2.0**-40],
-        "N": 2,
-        "j_range": [-5, 4],
-        "l": 2,
-        "m": 0,
-        "x_range": [0.0, 1.0],
-        "runs": 10,
-        "p": 2.0,
-        "grid_n": 4096,
-        "seed": 0,
-    },
-    "apply-T": {
-        "coeffs": [0.0, 0.0, 1.0],
-        "j": 0,
-        "grid": [-8.0, 8.0, 2049],
-        "f": {"kind": "gaussian", "center": 0.0, "width": 1.0},
-        "g": {"kind": "gaussian", "center": 0.3, "width": 0.9},
-        "nodes": 512,
-        "seed": 0,
-    },
-    "apply-M": {
-        "coeffs": [0.0, 0.0, 1.0],
-        "grid": [-8.0, 8.0, 2049],
-        "f": {"kind": "indicator", "a": 0.0, "b": 1.0},
-        "g": {"kind": "gaussian", "center": 0.3, "width": 0.9},
-        "epsilons": [2.0**-k for k in range(0, 6)][::-1],
-        "seed": 0,
-    },
-    "multiplier": {
-        "coeffs": [0.0, 0.0, 1.0],
-        "l": 2,
-        "j": 0,
-        "m_list": [0, 4, 8, 12],
-        "xi_band": -1.5,
-        "eta_band": 1.0,
-        "seed": 0,
-    },
-}
 
-SCHEMAS = {
-    "classify": "j,class",
-    "levelset": "order,root,fitted_slope,expected,pass",
-    "sharpness": "delta,ratio,predicted_exponent,fitted_slope,pass",
-    "rootorder": "delta,ratio,predicted_exponent,fitted_slope,pass",
-    "vdc": "alpha,measure,ratio",
-    "stationary": "xi,eta,m,normalized,target,rel_err,pass",
-    "inverse": "poly_index,order,reversion,finite_difference,rel_err,pass",
-    "pairs": "pair_index,dk_distance,bound,pass",
-    "whitney": "case,cells,disjoint_violations,sandwich_violations,coverage_ok,pairs_pass",
-    "tiles": "run,which,n_tiles,n_trees,residual_size,threshold,tops_disjoint,containment_ok,pass",
-    "apply-T": "x,value",
-    "apply-M": "x,value",
-    "multiplier": "m,abs_value,normalized",
-}
+def subcommand(name, columns, **defaults):
+    """Register run(cfg, rng) as `name`: its CSV columns and its default config."""
 
-
-def _pool_map(fn, items):
-    threads = int(os.environ.get("CURVELAB_THREADS", "1") or "1")
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
-def _build_grid_function(fn_cfg, grid):
-    lo, hi, n = float(grid[0]), float(grid[1]), int(grid[2])
-    kind = fn_cfg.get("kind")
-    if kind == "gaussian":
-        c, w = float(fn_cfg["center"]), float(fn_cfg["width"])
-        return GridFunction.sample(lambda x: np.exp(-(((x - c) / w) ** 2)), lo, hi, n)
-    if kind == "indicator":
-        return GridFunction.indicator(float(fn_cfg["a"]), float(fn_cfg["b"]), lo, hi, n)
-    if kind == "ones":
-        return GridFunction(lo, hi, np.ones(n))
-    raise ValueError(f"unknown function kind: {kind!r}")
-
-
-def subcommand(name):
-    def deco(fn):
-        SUBCOMMANDS[name] = fn
-        return fn
+    def deco(run):
+        SUBCOMMANDS[name] = (run, columns, {**defaults, "seed": 0})
+        return run
 
     return deco
 
 
-@subcommand("classify")
+_FUNCTION_KEYS = {"gaussian": ("center", "width"), "indicator": ("a", "b"), "ones": ()}
+
+
+def _build_grid_function(cfg, field):
+    """The function that config field `field` describes, sampled on cfg["grid"]."""
+    grid = cfg["grid"]
+    if len(grid) != 3:
+        raise ValueError(f"config field 'grid' must be [lo, hi, n], got {grid!r}")
+    lo, hi, n = float(grid[0]), float(grid[1]), int(grid[2])
+    spec = cfg[field]
+    kind = spec.get("kind")
+    if kind not in _FUNCTION_KEYS:
+        raise ValueError(f"config field {field!r} has unknown function kind {kind!r}")
+    for key in _FUNCTION_KEYS[kind]:
+        if _kind(spec.get(key)) != "number":
+            raise ValueError(f"config field {field!r} of kind {kind!r} needs a number {key!r}")
+    if kind == "gaussian":
+        c, w = float(spec["center"]), float(spec["width"])
+        return GridFunction.sample(lambda x: np.exp(-(((x - c) / w) ** 2)), lo, hi, n)
+    if kind == "indicator":
+        return GridFunction.indicator(float(spec["a"]), float(spec["b"]), lo, hi, n)
+    return GridFunction(lo, hi, np.ones(n))
+
+
+@subcommand("classify", "j,class", coeffs=[0.0, 0.0, 1.0, 1.0], N=8, j_range=[-170, 170])
 def run_classify(cfg, rng):
     P = Polynomial(cfg["coeffs"])
     part = classify_scales(P, int(cfg["N"]), tuple(cfg["j_range"]))
     count, bound, ok = verify_cardinality_bound(part)
     doc = partition_to_json(part)
     rows = [{"j": row["j"], "class": row["class"]} for row in doc["classes"]]
-    runs_ok = all(
-        lo <= hi for lo, hi in part.domination_runs.values()
-    )
-    rep = ExperimentReport(
+    runs_ok = all(lo <= hi for lo, hi in part.domination_runs.values())
+    return ExperimentReport(
         name="classify",
         rows=rows,
         fitted={"count_good": count, "bound": bound},
         passed=bool(ok and runs_ok),
         flags={"domination_runs": {str(k): list(v) for k, v in part.domination_runs.items()}},
-        config=cfg,
     )
-    return rep
 
 
 def _known_order_poly(rng, m):
@@ -237,7 +116,10 @@ def levelset_resolution(span, h_min, c_abs, m):
     return int(np.clip(math.ceil(8.0 * span / width), 4096, 1 << 21))
 
 
-@subcommand("levelset")
+@subcommand(
+    "levelset", "order,root,fitted_slope,expected,pass",
+    orders=[1, 2, 3], count=6, h_ladder=[2.0**-k for k in range(4, 15)],
+)
 def run_levelset(cfg, rng):
     jobs = [(m, _known_order_poly(rng, m)) for m in cfg["orders"] for _ in range(int(cfg["count"]))]
 
@@ -260,28 +142,31 @@ def run_levelset(cfg, rng):
             "pass": abs(slope - expected) <= 0.1 * expected,
         }
 
-    rows = _pool_map(one, jobs)
-    rows.sort(key=lambda row: (row["order"], row["root"]))
+    rows = sorted(map(one, jobs), key=lambda row: (row["order"], row["root"]))
     return ExperimentReport(
         name="levelset",
         rows=rows,
         fitted={"n_checked": len(rows)},
         passed=all(r["pass"] for r in rows),
-        config=cfg,
     )
 
 
-@subcommand("sharpness")
+@subcommand(
+    "sharpness", "delta,ratio,predicted_exponent,fitted_slope,pass",
+    d=2, r=0.5, p1=1.0, p2=1.0, deltas=[2.0**-k for k in range(6, 15)], grid_resolution=64,
+)
 def run_sharpness(cfg, rng):
-    rep = endpoint_scaling_experiment(
+    return endpoint_scaling_experiment(
         int(cfg["d"]), float(cfg["r"]), float(cfg["p1"]), float(cfg["p2"]),
         cfg["deltas"], grid_resolution=int(cfg["grid_resolution"]),
     )
-    rep.config = cfg
-    return rep
 
 
-@subcommand("rootorder")
+@subcommand(
+    "rootorder", "delta,ratio,predicted_exponent,fitted_slope,pass",
+    coeffs=[0.0, 0.0, 0.0, 1.0], k0=1, r=1.0, p1=2.0, p2=2.0,
+    deltas=[2.0**-k for k in range(8, 17)], A_big=20.0,
+)
 def run_rootorder(cfg, rng):
     P = Polynomial(cfg["coeffs"])
     k0 = int(cfg["k0"])
@@ -291,27 +176,32 @@ def run_rootorder(cfg, rng):
     if not match:
         raise ValueError(f"no root of order {k0} found for P' - 1")
     t0 = max(match, key=abs)
-    rep = rootorder_scaling_experiment(
+    return rootorder_scaling_experiment(
         P, t0, k0, float(cfg["r"]), float(cfg["p1"]), float(cfg["p2"]),
         cfg["deltas"], A_big=float(cfg["A_big"]),
     )
-    rep.config = cfg
-    return rep
 
 
-@subcommand("vdc")
+@subcommand(
+    "vdc", "alpha,measure,ratio",
+    u_coeffs=[0.0, 0.0, 0.5], k=2, alphas=[2.0**-k for k in range(2, 17)],
+    interval=[-1.0, 1.0], ratio_cap=16.0,
+)
 def run_vdc(cfg, rng):
     P = Polynomial(cfg["u_coeffs"])
     u = SmoothFn.from_polynomial(P, tuple(cfg["interval"]))
     rep = sublevel_check(u, int(cfg["k"]), cfg["alphas"], tuple(cfg["interval"]))
     rep.passed = bool(rep.fitted["max_ratio"] <= float(cfg["ratio_cap"]))
-    rep.config = cfg
     return rep
 
 
-@subcommand("stationary")
+@subcommand(
+    "stationary", "xi,eta,m,normalized,target,rel_err,pass",
+    pairs=[[-2.0, 1.0], [-1.5, 1.0], [-2.6, 1.0]], m_list=[10, 12, 14], rel_tol=0.02,
+)
 def run_stationary(cfg, rng):
     fam = default_family()
+    top = max(cfg["m_list"], default=None)
 
     def one(job):
         (xi, eta), m = job
@@ -331,18 +221,16 @@ def run_stationary(cfg, rng):
         return {
             "xi": xi, "eta": eta, "m": m,
             "normalized": normalized, "target": target, "rel_err": rel,
-            "pass": rel <= float(cfg["rel_tol"]) or m < max(cfg["m_list"]),
+            "pass": rel <= float(cfg["rel_tol"]) or m < top,
         }
 
     jobs = [((float(x), float(e)), int(m)) for x, e in cfg["pairs"] for m in cfg["m_list"]]
-    rows = _pool_map(one, jobs)
-    rows.sort(key=lambda r: (r["xi"], r["eta"], r["m"]))
+    rows = sorted(map(one, jobs), key=lambda r: (r["xi"], r["eta"], r["m"]))
     return ExperimentReport(
         name="stationary",
         rows=rows,
-        fitted={"max_rel_err_at_top_m": max(r["rel_err"] for r in rows if r["m"] == max(cfg["m_list"]))},
+        fitted={"max_rel_err_at_top_m": max((r["rel_err"] for r in rows if r["m"] == top), default=None)},
         passed=all(r["pass"] for r in rows),
-        config=cfg,
     )
 
 
@@ -415,7 +303,10 @@ def _random_monotone_quintic(rng, domain=(0.4, 2.1)):
             return P
 
 
-@subcommand("inverse")
+@subcommand(
+    "inverse", "poly_index,order,reversion,finite_difference,rel_err,pass",
+    count=20, n_max=4, fd_step=0.06, rel_tol=1e-6,
+)
 def run_inverse(cfg, rng):
     n_max = int(cfg["n_max"])
     h = float(cfg["fd_step"])
@@ -439,7 +330,6 @@ def run_inverse(cfg, rng):
         rows=rows,
         fitted={"max_rel_err": max(r["rel_err"] for r in rows)},
         passed=all(r["pass"] for r in rows),
-        config=cfg,
     )
 
 
@@ -475,7 +365,7 @@ def _make_pair(rng, K, N):
     )
 
 
-@subcommand("pairs")
+@subcommand("pairs", "pair_index,dk_distance,bound,pass", count=10, K=6, N=30)
 def run_pairs(cfg, rng):
     K, N = int(cfg["K"]), int(cfg["N"])
     rows = []
@@ -495,11 +385,13 @@ def run_pairs(cfg, rng):
         rows=rows,
         fitted={"max_distance": max(r["dk_distance"] for r in rows)},
         passed=all(r["pass"] for r in rows),
-        config=cfg,
     )
 
 
-@subcommand("whitney")
+@subcommand(
+    "whitney", "case,cells,disjoint_violations,sandwich_violations,coverage_ok,pairs_pass",
+    count=200, max_components=8,
+)
 def run_whitney(cfg, rng):
     def one(seed):
         omega = random_open_set(seed, int(cfg["max_components"]))
@@ -518,7 +410,7 @@ def run_whitney(cfg, rng):
         }
 
     base = int(cfg["seed"])
-    rows = [r for r in _pool_map(one, range(base, base + int(cfg["count"]))) if r is not None]
+    rows = [r for r in map(one, range(base, base + int(cfg["count"]))) if r is not None]
     ok = all(
         r["disjoint_violations"] == 0 and r["sandwich_violations"] == 0 and r["coverage_ok"] and r["pairs_pass"]
         for r in rows
@@ -528,11 +420,14 @@ def run_whitney(cfg, rng):
         rows=rows,
         fitted={"cases": len(rows)},
         passed=ok,
-        config=cfg,
     )
 
 
-@subcommand("tiles")
+@subcommand(
+    "tiles", "run,which,n_tiles,n_trees,residual_size,threshold,tops_disjoint,containment_ok,pass",
+    coeffs=[0.0, 0.0, 1.0, 2.0**-40], N=2, j_range=[-5, 4], l=2, m=0, x_range=[0.0, 1.0],
+    runs=10, p=2.0, grid_n=4096,
+)
 def run_tiles(cfg, rng):
     P = Polynomial(cfg["coeffs"])
     part = classify_scales(P, int(cfg["N"]), tuple(cfg["j_range"]))
@@ -573,22 +468,25 @@ def run_tiles(cfg, rng):
             "residual_size": res_size, "threshold": thr,
             "tops_disjoint": disjoint, "containment_ok": contain, "pass": ok,
         })
-    rep = ExperimentReport(
+    return ExperimentReport(
         name="tiles",
         rows=rows,
         fitted={"runs": len(rows)},
         passed=all(r["pass"] for r in rows),
         flags={"last_forest": forest_to_json(*last_forest)},
-        config=cfg,
     )
-    return rep
 
 
-@subcommand("apply-T")
+@subcommand(
+    "apply-T", "x,value",
+    coeffs=[0.0, 0.0, 1.0], j=0, grid=[-8.0, 8.0, 2049],
+    f={"kind": "gaussian", "center": 0.0, "width": 1.0},
+    g={"kind": "gaussian", "center": 0.3, "width": 0.9},
+    nodes=512,
+)
 def run_apply_T(cfg, rng):
     P = Polynomial(cfg["coeffs"])
-    f = _build_grid_function(cfg["f"], cfg["grid"])
-    g = _build_grid_function(cfg["g"], cfg["grid"])
+    f, g = _build_grid_function(cfg, "f"), _build_grid_function(cfg, "g")
     res = apply_Tj(f, g, P, int(cfg["j"]), nodes_per_component=int(cfg["nodes"]))
     rows = [{"x": float(x), "value": float(v)} for x, v in zip(res.output.x, res.output.values)]
     return ExperimentReport(
@@ -597,15 +495,19 @@ def run_apply_T(cfg, rng):
         fitted={"sup_norm": float(np.max(np.abs(res.output.values)))},
         passed=True,
         flags={"resolution_warning": res.resolution_warning},
-        config=cfg,
     )
 
 
-@subcommand("apply-M")
+@subcommand(
+    "apply-M", "x,value",
+    coeffs=[0.0, 0.0, 1.0], grid=[-8.0, 8.0, 2049],
+    f={"kind": "indicator", "a": 0.0, "b": 1.0},
+    g={"kind": "gaussian", "center": 0.3, "width": 0.9},
+    epsilons=[2.0**-k for k in range(0, 6)][::-1],
+)
 def run_apply_M(cfg, rng):
     P = Polynomial(cfg["coeffs"])
-    f = _build_grid_function(cfg["f"], cfg["grid"])
-    g = _build_grid_function(cfg["g"], cfg["grid"])
+    f, g = _build_grid_function(cfg, "f"), _build_grid_function(cfg, "g")
     out = apply_M(f, g, P, cfg["epsilons"])
     rows = [{"x": float(x), "value": float(v)} for x, v in zip(out.x, out.values)]
     return ExperimentReport(
@@ -613,11 +515,13 @@ def run_apply_M(cfg, rng):
         rows=rows,
         fitted={"sup_norm": float(np.max(out.values))},
         passed=True,
-        config=cfg,
     )
 
 
-@subcommand("multiplier")
+@subcommand(
+    "multiplier", "m,abs_value,normalized",
+    coeffs=[0.0, 0.0, 1.0], l=2, j=0, m_list=[0, 4, 8, 12], xi_band=-1.5, eta_band=1.0,
+)
 def run_multiplier(cfg, rng):
     P = Polynomial(cfg["coeffs"])
     l, j = int(cfg["l"]), int(cfg["j"])
@@ -636,7 +540,6 @@ def run_multiplier(cfg, rng):
         rows=rows,
         fitted={"max_normalized": max(normalized)},
         passed=bool(max(normalized) < 10.0),
-        config=cfg,
     )
 
 
@@ -658,14 +561,49 @@ def _kind(value) -> str:
     return {list: "list", dict: "object"}.get(type(value), type(value).__name__)
 
 
-def _kind_error(key, value, default):
-    """A message when value is not of the JSON kind of the field's default."""
-    want = _kind(default)
-    if _kind(value) == want:
-        return None
-    if want == "list" and all(_kind(v) == "number" for v in default):
-        want = "sequence of numbers"
-    return f"config field {key!r} must be a {want}, got {value!r}"
+def _numbers(value) -> bool:
+    return _kind(value) == "list" and all(_kind(v) == "number" for v in value)
+
+
+def _check_kind(key, value, default):
+    """Raise ValueError when value is not of the JSON kind of the field's default;
+    a list whose default holds numbers must hold only numbers."""
+    if _numbers(default):
+        want, ok = "sequence of numbers", _numbers(value)
+    else:
+        want = _kind(default)
+        ok = _kind(value) == want
+    if not ok:
+        raise ValueError(f"config field {key!r} must be a {want}, got {value!r}")
+
+
+def _config(defaults, args):
+    """`defaults` with the --config file, each --set and --seed applied."""
+    overrides = []
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                user = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValueError(f"cannot read config: {exc}") from None
+        if not isinstance(user, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = set(user) - set(defaults)
+        if unknown:
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        overrides.extend(user.items())
+    for text in args.set:
+        key, value = _parse_override(text)
+        if key not in defaults:
+            raise ValueError(f"unknown config field {key!r}")
+        overrides.append((key, value))
+    cfg = dict(defaults)
+    for key, value in overrides:
+        _check_kind(key, value, defaults[key])
+        cfg[key] = value
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -682,58 +620,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     name = args.subcommand
+    run, columns, defaults = SUBCOMMANDS[name]
     if args.schema:
-        print(SCHEMAS[name])
+        print(columns)
         return 0
-    cfg = dict(DEFAULTS[name])
-    overrides = []
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 1
-        if not isinstance(user, dict):
-            print("error: config file must hold a JSON object", file=sys.stderr)
-            return 1
-        unknown = set(user) - set(cfg)
-        if unknown:
-            print(f"error: unknown config fields: {sorted(unknown)}", file=sys.stderr)
-            return 1
-        overrides.extend(user.items())
-    for text in args.set:
-        try:
-            key, value = _parse_override(text)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if key not in cfg:
-            print(f"error: unknown config field {key!r}", file=sys.stderr)
-            return 1
-        overrides.append((key, value))
-    for key, value in overrides:
-        message = _kind_error(key, value, DEFAULTS[name][key])
-        if message:
-            print(f"error: {message}", file=sys.stderr)
-            return 1
-        cfg[key] = value
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if name in ("sharpness", "rootorder"):
-        if abs(1.0 / float(cfg["p1"]) + 1.0 / float(cfg["p2"]) - 1.0 / float(cfg["r"])) > 1e-12:
-            print("error: Hölder relation violated", file=sys.stderr)
-            return 1
-    rng = np.random.default_rng(int(cfg["seed"]))
-    start = time.perf_counter()
     try:
-        rep = SUBCOMMANDS[name](cfg, rng)
+        cfg = _config(defaults, args)
+        start = time.perf_counter()
+        rep = run(cfg, np.random.default_rng(int(cfg["seed"])))
+        if not rep.rows:
+            raise ValueError("no cases checked")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not rep.rows:
-        print("error: no cases checked", file=sys.stderr)
-        return 1
+    except AssertionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rep.runtime_s = time.perf_counter() - start
     rep.config = cfg
     os.makedirs(args.out, exist_ok=True)

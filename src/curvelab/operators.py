@@ -132,8 +132,8 @@ def apply_M(
         n_eps = max(2, int(math.ceil(math.log2(hi / lo) * 8)) + 1)
         epsilon_grid = np.geomspace(lo, hi, n_eps)
     eps_arr = np.asarray(epsilon_grid, dtype=float)
-    if np.any(eps_arr <= 0) or np.any(np.diff(eps_arr) < 0):
-        raise ValueError("epsilon grid must be positive and sorted")
+    if eps_arr.size == 0 or np.any(eps_arr <= 0) or np.any(np.diff(eps_arr) < 0):
+        raise ValueError("epsilon grid must be nonempty, positive and sorted")
     x = f.x
     best = np.zeros(f.n)
     for eps in eps_arr:

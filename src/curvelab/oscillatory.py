@@ -490,6 +490,8 @@ def inverse_derivatives(F: SmoothFn, x0: float, n_max: int) -> list:
     Computed by Lagrange reversion of the Taylor series at x0, then scaled
     by factorials.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     taylor = _taylor_coefficients(F, float(x0), n_max)
     if taylor[1] == 0.0:
         raise ValueError("critical point")
@@ -513,6 +515,8 @@ def perturbation_pair_check(pair: PhasePair, sample_points: Sequence[float]) -> 
     offending condition.  The pass flag asserts the 2^(-N/3) inverse bound.
     """
     K, N = pair.K, pair.N
+    if K < 2:
+        raise ValueError(f"K must be at least 2, got {K}")
     dom = pair.f0.domain
     failures = []
     xs = np.linspace(dom[0], dom[1], 2049)

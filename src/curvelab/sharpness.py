@@ -43,6 +43,13 @@ class CounterexampleInstance:
     meta: dict = field(default_factory=dict)
 
 
+def _check_hoelder(r: float, p1: float, p2: float) -> None:
+    if not min(r, p1, p2) > 0:
+        raise ValueError(f"r, p1 and p2 must be positive, got r={r}, p1={p1}, p2={p2}")
+    if abs(1.0 / p1 + 1.0 / p2 - 1.0 / r) > 1e-12:
+        raise ValueError("Hoelder relation violated: 1/p1 + 1/p2 must equal 1/r")
+
+
 def endpoint_polynomial(d: int) -> Polynomial:
     """P(t) = t + ((1-t)/A)^d - 1/A^d with A = d^(1/d); the linear term cancels."""
     A = d ** (1.0 / d)
@@ -177,8 +184,7 @@ def endpoint_scaling_experiment(
     """Window-restricted ratio ||T_0||_{L^r(window)} / (||f||_p1 ||g||_p2) over
     a delta ladder, with the fitted slope against the predicted exponent."""
     family = family or default_family()
-    if abs(1.0 / p1 + 1.0 / p2 - 1.0 / r) > 1e-12:
-        raise ValueError("Hoelder relation violated: 1/p1 + 1/p2 must equal 1/r")
+    _check_hoelder(r, p1, p2)
     deltas = [float(x) for x in delta_list]
     if len(deltas) < 5:
         raise ValueError("need at least 5 deltas")
@@ -299,8 +305,7 @@ def rootorder_scaling_experiment(
 ) -> ExperimentReport:
     """Fitted slope of the window-restricted kernel lower bound against
     1/(r (k0+1)) + 1 - 1/r."""
-    if abs(1.0 / p1 + 1.0 / p2 - 1.0 / r) > 1e-12:
-        raise ValueError("Hoelder relation violated: 1/p1 + 1/p2 must equal 1/r")
+    _check_hoelder(r, p1, p2)
     start = time.perf_counter()
     rows = []
     for delta in sorted(float(x) for x in delta_list):

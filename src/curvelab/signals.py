@@ -7,8 +7,6 @@ shift arguments by t and P(t), which routinely leaves the sampled window.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -111,56 +109,6 @@ class GridFunction:
     def _check_same_grid(self, other: "GridFunction") -> None:
         if (self.lo, self.hi, self.n) != (other.lo, other.hi, other.n):
             raise ValueError("grid mismatch")
-
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "value"])
-            for xi, vi in zip(self.x, self.values):
-                w.writerow([f"{xi:.17g}", repr(complex(vi)) if self.is_complex else f"{vi:.17g}"])
-
-    @classmethod
-    def from_csv(cls, path) -> "GridFunction":
-        xs, vs = [], []
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            if header != ["x", "value"]:
-                raise ValueError("expected header x,value")
-            for row in r:
-                xs.append(float(row[0]))
-                vs.append(complex(row[1]) if ("j" in row[1] or "(" in row[1]) else float(row[1]))
-        arr = np.asarray(vs)
-        return cls(xs[0], xs[-1], arr)
-
-    def to_json_dict(self) -> dict:
-        if self.is_complex:
-            vals = [[float(v.real), float(v.imag)] for v in self.values]
-        else:
-            vals = [float(v) for v in self.values]
-        return {"lo": self.lo, "hi": self.hi, "n": self.n, "values": vals}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GridFunction":
-        vals = d["values"]
-        if vals and isinstance(vals[0], (list, tuple)):
-            arr = np.array([complex(a, b) for a, b in vals])
-        else:
-            arr = np.asarray(vals, dtype=float)
-        if len(arr) != d["n"]:
-            raise ValueError("length mismatch in JSON payload")
-        return cls(d["lo"], d["hi"], arr)
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load_json(cls, path) -> "GridFunction":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 # -- smooth cutoffs ----------------------------------------------------------
@@ -300,28 +248,16 @@ def _one_sided_max_avg(x: np.ndarray, S: np.ndarray) -> np.ndarray:
     n = len(x)
     out = np.zeros(n)
     hull: list = [0]
-
-    def slope(a: int, i: int) -> float:
-        return (S[i] - S[a]) / (x[i] - x[a])
-
     for i in range(1, n):
-        lo, hi = 0, len(hull) - 1
-        while hi - lo > 2:
-            m1 = lo + (hi - lo) // 3
-            m2 = hi - (hi - lo) // 3
-            if slope(hull[m1], i) < slope(hull[m2], i):
-                lo = m1 + 1
-            else:
-                hi = m2
-        best = max(slope(hull[j], i) for j in range(max(0, lo - 1), min(len(hull), hi + 2)))
-        out[i] = best
-        # maintain lower convex hull of prefix points
+        # pop vertices on or above the chord to i; the last one left is where
+        # the lower tangent from i touches the hull, so its slope to i is the max
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             if (S[b] - S[a]) * (x[i] - x[b]) >= (S[i] - S[b]) * (x[b] - x[a]):
                 hull.pop()
             else:
                 break
+        out[i] = (S[i] - S[hull[-1]]) / (x[i] - x[hull[-1]])
         hull.append(i)
     return out
 
