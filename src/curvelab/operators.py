@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .oscillatory import SmoothFn, oscillatory_integral, q_perturbation
+from .oscillatory import SmoothFn, j_l_shift, oscillatory_integral, q_perturbation
 from .polynomials import Polynomial, bands
-from .signals import CutoffFamily, GridFunction, _trapezoid_weights, default_family, lp_norm
+from .signals import GridFunction, _trapezoid_weights, lp_norm, phi_hat, rho
 
 __all__ = [
     "OperatorResult",
@@ -46,20 +46,20 @@ def _quad_nodes(a: float, b: float, n: int):
     return np.linspace(a, b, n), _trapezoid_weights(n) * ((b - a) / (n - 1))
 
 
-def _bilinear_sum(f, g, P, scale, x, subintervals, family, nodes_per_unit):
+def _bilinear_sum(f, g, P, scale, x, subintervals, nodes_per_unit):
     """sum over subintervals of int f(x - scale*s) g(x - P(scale*s)) rho(s) ds."""
     out = np.zeros(x.size)
     block = max(8, (1 << 22) // max(1, x.size))
     for a, b in subintervals:
         n = max(33, int(math.ceil((b - a) * nodes_per_unit)) + 1)
         ts, w = _quad_nodes(a, b, n)
-        rw = family.rho(ts) * w
+        rw = rho(ts) * w
         shifted = scale * ts
         curved = P.eval(shifted)
         for s in range(0, n, block):
             e = min(s + block, n)
-            fv = f((x[None, :] - shifted[s:e, None]).ravel()).reshape(e - s, x.size)
-            gv = g((x[None, :] - curved[s:e, None]).ravel()).reshape(e - s, x.size)
+            fv = f(x[None, :] - shifted[s:e, None])
+            gv = g(x[None, :] - curved[s:e, None])
             out += rw[s:e] @ (fv * gv)
     return out
 
@@ -69,17 +69,15 @@ def apply_Tj(
     g: GridFunction,
     P: Polynomial,
     j: int,
-    family: CutoffFamily = None,
     nodes_per_component: int = 512,
 ) -> OperatorResult:
     """T_j(f,g)(x) = int f(x-t) g(x-P(t)) rho_j(t) dt on the grid of f."""
-    family = family or default_family()
     P.require_no_linear_term()
     scale = 2.0 ** (-j)
     warn = 1.5 * scale < 4.0 * f.step
     x = f.x
     nodes_per_unit = nodes_per_component / 1.5
-    vals = _bilinear_sum(f, g, P, scale, x, _COMPONENTS, family, nodes_per_unit)
+    vals = _bilinear_sum(f, g, P, scale, x, _COMPONENTS, nodes_per_unit)
     return OperatorResult(
         output=f.with_values(vals),
         nodes_per_component=nodes_per_component,
@@ -93,19 +91,16 @@ def apply_H_truncated(
     P: Polynomial,
     j_min: int,
     j_max: int,
-    family: CutoffFamily = None,
-    nodes_per_component: int = 512,
     retain_terms: bool = False,
 ) -> OperatorResult:
-    """Sum of T_j over j_min <= j <= j_max."""
+    """Sum of T_j over j_min <= j <= j_max, 512 nodes per component each."""
     if j_min > j_max:
         raise ValueError("need j_min <= j_max")
-    family = family or default_family()
     total = np.zeros(f.n)
     terms = {} if retain_terms else None
     warn = False
     for j in range(j_min, j_max + 1):
-        res = apply_Tj(f, g, P, j, family, nodes_per_component)
+        res = apply_Tj(f, g, P, j)
         total += res.output.values
         warn = warn or res.resolution_warning
         if retain_terms:
@@ -113,7 +108,7 @@ def apply_H_truncated(
     return OperatorResult(
         output=f.with_values(total),
         j_terms=terms,
-        nodes_per_component=nodes_per_component,
+        nodes_per_component=512,
         resolution_warning=warn,
     )
 
@@ -122,25 +117,20 @@ def apply_M(
     f: GridFunction,
     g: GridFunction,
     P: Polynomial,
-    epsilon_grid=None,
-    nodes: int = 513,
+    epsilon_grid,
 ) -> GridFunction:
-    """Pointwise max over epsilon of (1/2eps) int_{-eps}^{eps} |f(x-t) g(x-P(t))| dt."""
-    if epsilon_grid is None:
-        lo = 4.0 * f.step
-        hi = (f.hi - f.lo) / 2.0
-        n_eps = max(2, int(math.ceil(math.log2(hi / lo) * 8)) + 1)
-        epsilon_grid = np.geomspace(lo, hi, n_eps)
+    """Pointwise max over epsilon in epsilon_grid of
+    (1/2eps) int_{-eps}^{eps} |f(x-t) g(x-P(t))| dt, each average by the
+    trapezoid rule on 513 nodes."""
     eps_arr = np.asarray(epsilon_grid, dtype=float)
     if eps_arr.size == 0 or np.any(eps_arr <= 0) or np.any(np.diff(eps_arr) < 0):
         raise ValueError("epsilon grid must be nonempty, positive and sorted")
     x = f.x
     best = np.zeros(f.n)
     for eps in eps_arr:
-        ts, w = _quad_nodes(-eps, eps, nodes)
-        curved = P.eval(ts)
-        fv = f((x[None, :] - ts[:, None]).ravel()).reshape(nodes, f.n)
-        gv = g((x[None, :] - curved[:, None]).ravel()).reshape(nodes, f.n)
+        ts, w = _quad_nodes(-eps, eps, 513)
+        fv = f(x[None, :] - ts[:, None])
+        gv = g(x[None, :] - P.eval(ts)[:, None])
         avg = (w / (2 * eps)) @ np.abs(fv * gv)
         np.maximum(best, avg, out=best)
     return f.with_values(best)
@@ -163,13 +153,11 @@ def restricted_Tj_alpha(
     P: Polynomial,
     j: int,
     alpha: float,
-    family: CutoffFamily = None,
     nodes_per_component: int = 512,
 ) -> OperatorResult:
     """T_j restricted to E_alpha = {s in supp rho : alpha <= |dP(2^-j s)/ds| <= 2 alpha}."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    family = family or default_family()
     P.require_no_linear_term()
     G = _derivative_of_curve(P, j)
     scale = 2.0 ** (-j)
@@ -186,7 +174,7 @@ def restricted_Tj_alpha(
         found = bands(in_band, a, b, 4096, (b - a) * 1e-12)
         subs.extend(found)
         measure += sum(hi - lo for lo, hi in found)
-    vals = _bilinear_sum(f, g, P, scale, x, subs, family, nodes_per_unit)
+    vals = _bilinear_sum(f, g, P, scale, x, subs, nodes_per_unit)
     return OperatorResult(
         output=f.with_values(vals),
         nodes_per_component=nodes_per_component,
@@ -200,22 +188,18 @@ def restricted_Tjh(
     P: Polynomial,
     j: int,
     h: float,
-    family: CutoffFamily = None,
-    nodes_per_component: int = 512,
 ):
-    """T_j restricted to E_0(h), plus the measure |E_0(h)|.
+    """T_j restricted to E_0(h), plus the measure |E_0(h)|, at 512 nodes per component.
 
     E_0 keeps the positive-derivative window (1/2) 2^-j < dP(2^-j s)/ds < 2 * 2^-j;
     E_0(h) further requires h 2^-j <= |dP(2^-j s)/ds - 2^-j| <= 2h 2^-j.
     """
     if not 0 < h <= 1:
         raise ValueError("h must lie in (0, 1]")
-    family = family or default_family()
     P.require_no_linear_term()
     G = _derivative_of_curve(P, j)
     sj = 2.0 ** (-j)
     x = f.x
-    nodes_per_unit = nodes_per_component / 1.5
 
     def member(s):
         v = G(s)
@@ -227,10 +211,10 @@ def restricted_Tjh(
     for a, b in _COMPONENTS:
         subs.extend(bands(member, a, b, 4096, (b - a) * 1e-12))
     measure = sum(b - a for a, b in subs)
-    vals = _bilinear_sum(f, g, P, sj, x, subs, family, nodes_per_unit)
+    vals = _bilinear_sum(f, g, P, sj, x, subs, 512 / 1.5)
     result = OperatorResult(
         output=f.with_values(vals),
-        nodes_per_component=nodes_per_component,
+        nodes_per_component=512,
         extras={"band_measure": measure, "subintervals": subs},
     )
     return result, measure
@@ -244,21 +228,14 @@ def multiplier_Mmn(
     n: int,
     xi: float,
     eta: float,
-    family: CutoffFamily = None,
 ) -> complex:
     """M_{m,n}(xi, eta): two band cutoffs times the oscillatory rho-integral.
 
     Returns 0 immediately when either frequency misses its Phi-hat band.
     """
-    family = family or default_family()
-    if not 2 <= l <= P.degree:
-        raise ValueError(f"l={l} out of range")
-    a_l = P.coefficient(l)
-    if a_l == 0.0:
-        raise ValueError(f"coefficient a_{l} vanishes")
-    j_l = math.log2(abs(a_l)) / (l - 1)
-    c1 = float(family.phi_hat(xi / 2.0 ** (j_l + j + m)))
-    c2 = float(family.phi_hat(eta / 2.0 ** (j_l + l * j + n)))
+    j_l = j_l_shift(P, l)
+    c1 = float(phi_hat(xi / 2.0 ** (j_l + j + m)))
+    c2 = float(phi_hat(eta / 2.0 ** (j_l + l * j + n)))
     if c1 == 0.0 or c2 == 0.0:
         return 0.0 + 0.0j
     Q = q_perturbation(P, l, j)
@@ -278,7 +255,7 @@ def multiplier_Mmn(
     total = 0.0 + 0.0j
     for comp in _COMPONENTS:
         ph = SmoothFn(fn=phase, domain=comp, derivs=(dphase,))
-        amp = SmoothFn(fn=family.rho, domain=comp)
+        amp = SmoothFn(fn=rho, domain=comp)
         total += oscillatory_integral(ph, amp, 1.0, comp)
     return c1 * c2 * total
 

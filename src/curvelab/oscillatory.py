@@ -28,6 +28,7 @@ __all__ = [
     "oscillatory_integral",
     "sublevel_check",
     "phase_phi",
+    "j_l_shift",
     "q_perturbation",
     "dk_norm",
     "inverse_function",
@@ -68,10 +69,11 @@ class SmoothFn:
         raise ValueError(f"analytic derivative of order {k} not available")
 
     @classmethod
-    def from_polynomial(cls, P: Polynomial, domain, n_derivs: int = 12) -> "SmoothFn":
+    def from_polynomial(cls, P: Polynomial, domain) -> "SmoothFn":
+        """P with its first 12 derivatives, all analytic."""
         ders = []
         q = P
-        for _ in range(n_derivs):
+        for _ in range(12):
             q = q.derivative()
             ders.append(q.eval)
         return cls(fn=P.eval, domain=(float(domain[0]), float(domain[1])), derivs=tuple(ders))
@@ -103,6 +105,7 @@ class PhasePair:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _NODE_BUDGET = 1 << 26
+_REL_TOL = 1e-8
 _CHUNK = 1 << 21
 
 
@@ -187,7 +190,6 @@ def oscillatory_integral(
     amplitude: SmoothFn,
     lam: float,
     interval=None,
-    rel_tol: float = 1e-8,
 ) -> complex:
     """int exp(i*lam*phase(t)) amplitude(t) dt by one of two panel rules.
 
@@ -199,7 +201,7 @@ def oscillatory_integral(
 
     Both rules double their panel count each pass and share one acceptance
     rule: a pass is accepted once it moves the result by at most
-    rel_tol * |result| plus a floor for the rounding noise of exp(i*lam*phase).
+    1e-8 * |result| plus a floor for the rounding noise of exp(i*lam*phase).
 
     The Levin rule is tried first when lam != 0, the phase carries an analytic
     first derivative, and phase' has one strict sign on the 4097 samples that
@@ -235,7 +237,7 @@ def oscillatory_integral(
         while 2 * levin_panels * _LOBATTO_X.size <= gl_nodes:
             levin_panels *= 2
             cur = _composite_levin(phase, amplitude, lam, a, b, levin_panels)
-            if abs(cur - prev) <= rel_tol * abs(cur) + tol_floor:
+            if abs(cur - prev) <= _REL_TOL * abs(cur) + tol_floor:
                 return cur
             prev = cur
     prev = _composite_gl(phase, amplitude, lam, a, b, n_panels)
@@ -247,7 +249,7 @@ def oscillatory_integral(
                 f"{n_panels * _GL_NODES.size} nodes"
             )
         cur = _composite_gl(phase, amplitude, lam, a, b, n_panels)
-        if abs(cur - prev) <= rel_tol * abs(cur) + tol_floor:
+        if abs(cur - prev) <= _REL_TOL * abs(cur) + tol_floor:
             return cur
         prev = cur
 
@@ -293,12 +295,19 @@ def sublevel_check(
 # -- stationary phase ----------------------------------------------------------
 
 
-def q_perturbation(P: Polynomial, l: int, j: float) -> Polynomial:
-    """Q_l(t) = 2^(j_l + l*j) * (P - a_l t^l)(2^(-j_l - j) t), exactly in coefficients."""
+def j_l_shift(P: Polynomial, l: int) -> float:
+    """j_l = log2|a_l| / (l - 1), the scale shift that normalizes a_l t^l."""
+    if not 2 <= l <= P.degree:
+        raise ValueError(f"l={l} out of range [2, {P.degree}]")
     a_l = P.coefficient(l)
     if a_l == 0.0:
         raise ValueError(f"coefficient a_{l} vanishes")
-    j_l = math.log2(abs(a_l)) / (l - 1)
+    return math.log2(abs(a_l)) / (l - 1)
+
+
+def q_perturbation(P: Polynomial, l: int, j: float) -> Polynomial:
+    """Q_l(t) = 2^(j_l + l*j) * (P - a_l t^l)(2^(-j_l - j) t), exactly in coefficients."""
+    j_l = j_l_shift(P, l)
     Pl = truncate_term(P, l)
     scaled = [c * 2.0 ** (j_l * (1 - k) + j * (l - k)) for k, c in enumerate(Pl.coeffs)]
     return Polynomial(scaled)
@@ -383,18 +392,20 @@ def _cheb_interpolant(F: SmoothFn, interval, degree: int):
     return cheb.Chebyshev(trimmed, domain=[a, b])
 
 
-def dk_norm(F: SmoothFn, K: int, interval=None, degree: int = 256, samples: int = 4096) -> float:
-    """sup over k <= K of the sup-norm of the k-th derivative on the interval."""
+def dk_norm(F: SmoothFn, K: int, interval=None) -> float:
+    """sup over k <= K of the sup-norm of the k-th derivative on the interval,
+    from 4097 samples; a degree-256 Chebyshev interpolant stands in for
+    derivatives F does not carry."""
     if K < 0:
         raise ValueError("K must be >= 0")
     a, b = map(float, interval if interval is not None else F.domain)
-    xs = np.linspace(a, b, samples + 1)
+    xs = np.linspace(a, b, 4097)
     best = float(np.max(np.abs(_eval_vec(F.fn, xs))))
     if F.derivative_order_available >= K:
         for k in range(1, K + 1):
             best = max(best, float(np.max(np.abs(_eval_vec(F.deriv(k), xs)))))
         return best
-    series = _cheb_interpolant(F, (a, b), degree)
+    series = _cheb_interpolant(F, (a, b), 256)
     for k in range(1, K + 1):
         series = series.deriv(1)
         best = max(best, float(np.max(np.abs(series(xs)))))
@@ -404,9 +415,9 @@ def dk_norm(F: SmoothFn, K: int, interval=None, degree: int = 256, samples: int 
 # -- inverse functions ----------------------------------------------------------
 
 
-def inverse_function(F: SmoothFn, a: float, interval=None) -> float:
-    """Solve F(t) = a on an interval where F is strictly monotone."""
-    lo, hi = map(float, interval if interval is not None else F.domain)
+def inverse_function(F: SmoothFn, a: float) -> float:
+    """Solve F(t) = a on F's domain, where F must be strictly monotone."""
+    lo, hi = map(float, F.domain)
     xs = np.linspace(lo, hi, 4097)
     vals = _eval_vec(F.fn, xs)
     d = np.diff(vals)
@@ -634,9 +645,9 @@ def bilinear_oscillatory_decay(
     g: GridFunction,
     I1,
     I2,
-    nodes_per_period: float = 6.0,
 ) -> ExperimentReport:
-    """|iint exp(i*lam*psi(x,y)) f(x) g(y) dx dy| over a lambda ladder.
+    """|iint exp(i*lam*psi(x,y)) f(x) g(y) dx dy| over a lambda ladder, with
+    Gauss-Legendre nodes at 6 per period of exp(i*lam*psi) along each axis.
 
     Verifies the derivative floor |d_x^k d_y psi| >= 1 on I1 x I2 first
     (Chebyshev tensor differentiation), plus the nonvanishing of
@@ -665,8 +676,8 @@ def bilinear_oscillatory_decay(
     values = []
     for lam in lambda_list:
         lam = float(lam)
-        nx = max(64, int(math.ceil(nodes_per_period * abs(lam) * sup_dx * (b1 - a1) / (2 * math.pi))))
-        ny = max(64, int(math.ceil(nodes_per_period * abs(lam) * sup_dy * (b2 - a2) / (2 * math.pi))))
+        nx = max(64, int(math.ceil(6.0 * abs(lam) * sup_dx * (b1 - a1) / (2 * math.pi))))
+        ny = max(64, int(math.ceil(6.0 * abs(lam) * sup_dy * (b2 - a2) / (2 * math.pi))))
         if nx * ny > 1 << 31:
             raise ValueError(f"node budget exceeded: {nx} x {ny} tensor nodes")
         txs, wx = _gl_axis(a1, b1, nx)
@@ -709,7 +720,6 @@ def mixed_derivative_floor_Q(
     tau: float,
     b2: float,
     grid,
-    deg: int = 40,
 ):
     """min |d_u d_v Q_tau(u, v)| over the grid, and its ratio to |tau|.
 
@@ -739,7 +749,7 @@ def mixed_derivative_floor_Q(
 
     box_u = (u_vals.min(), u_vals.max())
     box_v = (v_vals.min(), v_vals.max())
-    tensor = ChebTensor(q_tau, box_u, box_v, deg=deg)
+    tensor = ChebTensor(q_tau, box_u, box_v, deg=40)
     field = tensor.derivative(1, 1).grid(u_vals, v_vals)
     min_abs = float(np.min(np.abs(field)))
     return min_abs, min_abs / abs(tau)

@@ -176,16 +176,16 @@ def truncate_term(P: Polynomial, l: int) -> Polynomial:
     return Polynomial(cs)
 
 
-def _effective_degree(P: Polynomial, floor: float = 0.0) -> int:
+def _effective_degree(P: Polynomial) -> int:
     for k in range(P.degree, -1, -1):
-        if abs(P.coeffs[k]) > floor:
+        if abs(P.coeffs[k]) > 0.0:
             return k
     return -1
 
 
-def _newton_polish(P: Polynomial, r: float, lo: float, hi: float, steps: int = 60) -> float:
+def _newton_polish(P: Polynomial, r: float, lo: float, hi: float) -> float:
     dP = P.derivative()
-    for _ in range(steps):
+    for _ in range(60):
         f = P.eval(r)
         df = dP.eval(r)
         if df == 0.0:

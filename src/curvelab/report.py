@@ -10,6 +10,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 __all__ = ["ExperimentReport", "format_value"]
 
 
@@ -59,17 +61,12 @@ class ExperimentReport:
 
 
 def _jsonable(v):
-    try:
-        import numpy as np
-
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, np.bool_):
-            return bool(v)
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-    except ImportError:
-        pass
+    if isinstance(v, np.floating):
+        return float(v)
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.bool_):
+        return bool(v)
+    if isinstance(v, np.ndarray):
+        return v.tolist()
     raise TypeError(f"not JSON serializable: {type(v)}")

@@ -73,6 +73,8 @@ def classify_scales(P: Polynomial, N: int, j_range) -> ScalePartition:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if len(j_range) != 2:
+        raise ValueError(f"j_range must be [j_min, j_max], got {list(j_range)!r}")
     j_min, j_max = int(j_range[0]), int(j_range[1])
     if j_min > j_max:
         raise ValueError("empty scale range")
@@ -125,14 +127,13 @@ def cardinality_bound(N: int, d: int) -> int:
     return (2 * (N + 2 * d) + 1) * d * (d - 1) + (2 * N - 1)
 
 
-def verify_cardinality_bound(partition: ScalePartition, d: int | None = None):
-    """Count the good scales against the closed-form bound.
+def verify_cardinality_bound(partition: ScalePartition):
+    """Count the good scales against the closed-form bound at the
+    partition's degree.
 
     Requires the range to be wide enough that both tails are dominated
     (the 10 outermost j on each side), otherwise the count is meaningless.
     """
-    if d is None:
-        d = partition.degree
     tail = 10
     js = range(partition.j_min, partition.j_max + 1)
     if len(list(js)) < 2 * tail:
@@ -142,7 +143,7 @@ def verify_cardinality_bound(partition: ScalePartition, d: int | None = None):
     if GOOD in low_tail or GOOD in high_tail:
         raise ValueError("range too narrow")
     count = partition.count_good()
-    bound = cardinality_bound(partition.N, d)
+    bound = cardinality_bound(partition.N, partition.degree)
     return count, bound, count <= bound
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .polynomials import Polynomial, bisect, fit_decay_exponent, real_roots_with_orders
 from .report import ExperimentReport
-from .signals import CutoffFamily, GridFunction, _trapezoid_weights, default_family, lp_norm
+from .signals import GridFunction, _trapezoid_weights, lp_norm, rho
 
 __all__ = [
     "CounterexampleInstance",
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _GL64 = np.polynomial.legendre.leggauss(64)
+_N_WINDOW = 33  # trapezoid nodes across the window in the scaling experiments
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,6 @@ def endpoint_polynomial(d: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _integrate_rho(family: CutoffFamily, a: float, b: float) -> float:
-    if not b > a:
-        return 0.0
-    ts = 0.5 * (a + b) + 0.5 * (b - a) * _GL64[0]
-    return float(np.sum(_GL64[1] * family.rho(ts))) * 0.5 * (b - a)
-
-
 def _window_interval(P: Polynomial, x: float, g_lo: float, g_hi: float, t_lo: float, t_hi: float):
     """{t in [t_lo, t_hi] : x - P(t) in [g_lo, g_hi]} for P monotone there."""
     v_lo = x - P.eval(t_hi)
@@ -102,9 +96,8 @@ def _window_interval(P: Polynomial, x: float, g_lo: float, g_hi: float, t_lo: fl
     return a, b
 
 
-def t0_endpoint_value(instance: CounterexampleInstance, x: float, family: CutoffFamily = None) -> float:
+def t0_endpoint_value(instance: CounterexampleInstance, x: float) -> float:
     """T_0(f,g)(x) for the endpoint instance, via the exact indicator windows."""
-    family = family or default_family()
     delta = instance.delta
     g_lo, g_hi = instance.meta["g_support"]
     # f = 1_[0, delta] restricts t to [x - delta, x]
@@ -112,18 +105,17 @@ def t0_endpoint_value(instance: CounterexampleInstance, x: float, family: Cutoff
     seg = _window_interval(instance.P, x, g_lo, g_hi, t_lo, t_hi)
     if seg is None:
         return 0.0
-    return _integrate_rho(family, *seg)
+    a, b = seg  # rho integrated over the window by 64-point Gauss-Legendre
+    ts = 0.5 * (a + b) + 0.5 * (b - a) * _GL64[0]
+    return float(np.sum(_GL64[1] * rho(ts))) * 0.5 * (b - a)
 
 
-def build_counterexample_endpoint(
-    d: int, delta: float, grid_resolution: int = 64, family: CutoffFamily = None
-) -> CounterexampleInstance:
+def build_counterexample_endpoint(d: int, delta: float, grid_resolution: int = 64) -> CounterexampleInstance:
     """The endpoint family: f = 1_[0,delta], g a shifted delta-indicator, with
     the claimed window where T_0 >= delta/8 pointwise.
 
     grid_resolution counts grid steps across delta and must be >= 64.
     """
-    family = family or default_family()
     if d < 2:
         raise ValueError("d must be >= 2")
     if not 0 < delta < 0.1:
@@ -157,18 +149,50 @@ def build_counterexample_endpoint(
     )
     # certified region: rho bounded below on [x - delta/2, x - delta/4]
     ts = np.linspace(w_lo - delta / 2, w_hi - delta / 4, 257)
-    rho_min = float(np.min(family.rho(ts)))
+    rho_min = float(np.min(rho(ts)))
     if rho_min < 0.4:
         raise AssertionError(f"rho lower bound failed: {rho_min:.3f} < 0.4")
     object.__setattr__(inst, "meta", {**inst.meta, "rho_min": rho_min})
     for x in np.linspace(w_lo, w_hi, 100):
-        if t0_endpoint_value(inst, float(x), family) < delta / 8.0:
+        if t0_endpoint_value(inst, float(x)) < delta / 8.0:
             raise AssertionError(f"pointwise bound T_0 >= delta/8 failed at x = {x}")
     return inst
 
 
 def predicted_endpoint_exponent(d: int, r: float) -> float:
     return 1.0 / (r * d) + 1.0 - 1.0 / r
+
+
+def _delta_sweep(name, instances, value, e_pred, config) -> ExperimentReport:
+    """Window-restricted ratio ||value||_{L^r(window)} / (||f||_p1 ||g||_p2)
+    for each instance in the order given, r, p1 and p2 read from config, with
+    the fitted slope against the predicted exponent e_pred."""
+    r, p1, p2 = config["r"], config["p1"], config["p2"]
+    start = time.perf_counter()
+    rows = []
+    for inst in instances:
+        w_lo, w_hi = inst.window
+        xs = np.linspace(w_lo, w_hi, _N_WINDOW)
+        vals = np.array([value(inst, float(x)) for x in xs])
+        wq = _trapezoid_weights(_N_WINDOW) * ((w_hi - w_lo) / (_N_WINDOW - 1))
+        norm_r = float(np.sum(wq * vals**r)) ** (1.0 / r)
+        ratio = norm_r / (lp_norm(inst.f, p1) * lp_norm(inst.g, p2))
+        rows.append({"delta": inst.delta, "ratio": ratio})
+    slope, _, r2 = fit_decay_exponent([(row["delta"], row["ratio"]) for row in rows])
+    ok = abs(slope - e_pred) <= 0.05
+    for row in rows:
+        row["predicted_exponent"] = e_pred
+        row["fitted_slope"] = slope
+        row["pass"] = ok
+    return ExperimentReport(
+        name=name,
+        rows=rows,
+        fitted={"slope": slope, "predicted_exponent": e_pred, "r_squared": r2},
+        passed=ok,
+        flags={"diverges": slope < 0.0},
+        runtime_s=time.perf_counter() - start,
+        config=config,
+    )
 
 
 def endpoint_scaling_experiment(
@@ -178,43 +202,17 @@ def endpoint_scaling_experiment(
     p2: float,
     delta_list,
     grid_resolution: int = 64,
-    n_window: int = 33,
-    family: CutoffFamily = None,
 ) -> ExperimentReport:
     """Window-restricted ratio ||T_0||_{L^r(window)} / (||f||_p1 ||g||_p2) over
-    a delta ladder, with the fitted slope against the predicted exponent."""
-    family = family or default_family()
+    a delta ladder, largest delta first, with the fitted slope against the
+    predicted exponent."""
     _check_hoelder(r, p1, p2)
     deltas = [float(x) for x in delta_list]
     if len(deltas) < 5:
         raise ValueError("need at least 5 deltas")
-    start = time.perf_counter()
-    rows = []
-    for delta in sorted(deltas, reverse=True):
-        inst = build_counterexample_endpoint(d, delta, grid_resolution, family)
-        w_lo, w_hi = inst.window
-        xs = np.linspace(w_lo, w_hi, n_window)
-        vals = np.array([t0_endpoint_value(inst, float(x), family) for x in xs])
-        wq = _trapezoid_weights(n_window) * ((w_hi - w_lo) / (n_window - 1))
-        norm_r = float(np.sum(wq * vals**r)) ** (1.0 / r)
-        ratio = norm_r / (lp_norm(inst.f, p1) * lp_norm(inst.g, p2))
-        rows.append({"delta": delta, "ratio": ratio})
-    slope, _, r2 = fit_decay_exponent([(row["delta"], row["ratio"]) for row in rows])
-    e_pred = predicted_endpoint_exponent(d, r)
-    ok = abs(slope - e_pred) <= 0.05
-    for row in rows:
-        row["predicted_exponent"] = e_pred
-        row["fitted_slope"] = slope
-        row["pass"] = ok
-    return ExperimentReport(
-        name="endpoint_scaling",
-        rows=rows,
-        fitted={"slope": slope, "predicted_exponent": e_pred, "r_squared": r2},
-        passed=ok,
-        flags={"diverges": slope < 0.0},
-        runtime_s=time.perf_counter() - start,
-        config={"d": d, "r": r, "p1": p1, "p2": p2, "grid_resolution": grid_resolution},
-    )
+    instances = (build_counterexample_endpoint(d, delta, grid_resolution) for delta in sorted(deltas, reverse=True))
+    config = {"d": d, "r": r, "p1": p1, "p2": p2, "grid_resolution": grid_resolution}
+    return _delta_sweep("endpoint_scaling", instances, t0_endpoint_value, predicted_endpoint_exponent(d, r), config)
 
 
 def build_counterexample_rootorder(
@@ -223,9 +221,9 @@ def build_counterexample_rootorder(
     k0: int,
     delta: float,
     A_big: float,
-    grid_resolution: int = 64,
 ) -> CounterexampleInstance:
-    """The root-order family at a root t0 of P' - 1 of order k0.
+    """The root-order family at a root t0 of P' - 1 of order k0, on grids
+    with 64 steps across delta.
 
     Validates the root and its order, rejects polynomials with a linear term,
     and checks |(t - P(t)) - (t0 - P(t0))| <= delta/100 throughout the
@@ -249,10 +247,10 @@ def build_counterexample_rootorder(
     drift = np.abs((ts - P.eval(ts)) - c0)
     if np.max(drift) > delta / 100:
         raise ValueError("A too small: the identity drift exceeds delta/100 on the window")
-    step = delta / grid_resolution
-    n = 3 * grid_resolution + 1
-    f = GridFunction.indicator(-delta, delta, -2 * delta, 2 * delta, 2 * n)
-    g = GridFunction.indicator(c0 - delta, c0 + delta, c0 - 2 * delta, c0 + 2 * delta, 2 * n)
+    step = delta / 64
+    n = 2 * (3 * 64 + 1)
+    f = GridFunction.indicator(-delta, delta, -2 * delta, 2 * delta, n)
+    g = GridFunction.indicator(c0 - delta, c0 + delta, c0 - 2 * delta, c0 + 2 * delta, n)
     return CounterexampleInstance(
         P=P,
         delta=delta,
@@ -301,35 +299,14 @@ def rootorder_scaling_experiment(
     p2: float,
     delta_list,
     A_big: float = 20.0,
-    n_window: int = 33,
 ) -> ExperimentReport:
     """Fitted slope of the window-restricted kernel lower bound against
-    1/(r (k0+1)) + 1 - 1/r."""
+    1/(r (k0+1)) + 1 - 1/r, smallest delta first."""
     _check_hoelder(r, p1, p2)
-    start = time.perf_counter()
-    rows = []
-    for delta in sorted(float(x) for x in delta_list):
-        inst = build_counterexample_rootorder(P, t0, k0, delta, A_big)
-        w_lo, w_hi = inst.window
-        xs = np.linspace(w_lo, w_hi, n_window)
-        vals = np.array([rootorder_kernel_value(inst, float(x)) for x in xs])
-        wq = _trapezoid_weights(n_window) * ((w_hi - w_lo) / (n_window - 1))
-        norm_r = float(np.sum(wq * vals**r)) ** (1.0 / r)
-        ratio = norm_r / (lp_norm(inst.f, p1) * lp_norm(inst.g, p2))
-        rows.append({"delta": delta, "ratio": ratio})
-    slope, _, r2 = fit_decay_exponent([(row["delta"], row["ratio"]) for row in rows])
-    e_pred = predicted_rootorder_exponent(k0, r)
-    ok = abs(slope - e_pred) <= 0.05
-    for row in rows:
-        row["predicted_exponent"] = e_pred
-        row["fitted_slope"] = slope
-        row["pass"] = ok
-    return ExperimentReport(
-        name="rootorder_scaling",
-        rows=rows,
-        fitted={"slope": slope, "predicted_exponent": e_pred, "r_squared": r2},
-        passed=ok,
-        flags={"diverges": slope < 0.0},
-        runtime_s=time.perf_counter() - start,
-        config={"k0": k0, "t0": t0, "r": r, "p1": p1, "p2": p2, "A_big": A_big},
+    instances = (
+        build_counterexample_rootorder(P, t0, k0, delta, A_big) for delta in sorted(float(x) for x in delta_list)
+    )
+    config = {"k0": k0, "t0": t0, "r": r, "p1": p1, "p2": p2, "A_big": A_big}
+    return _delta_sweep(
+        "rootorder_scaling", instances, rootorder_kernel_value, predicted_rootorder_exponent(k0, r), config
     )

@@ -15,8 +15,10 @@ import numpy as np
 
 __all__ = [
     "GridFunction",
-    "CutoffFamily",
-    "default_family",
+    "theta",
+    "phi_hat",
+    "psi",
+    "rho",
     "lp_norm",
     "weak_lp_quasinorm",
     "littlewood_paley_piece",
@@ -81,8 +83,6 @@ class GridFunction:
             out = re + 1j * im
         else:
             out = np.interp(x, self.x, self.values, left=0.0, right=0.0)
-        outside = (x < self.lo) | (x > self.hi)
-        out = np.where(outside, 0.0, out)
         if out.ndim == 0:
             return complex(out) if self.is_complex else float(out)
         return out
@@ -112,6 +112,11 @@ class GridFunction:
 
 
 # -- smooth cutoffs ----------------------------------------------------------
+#
+# The one cutoff family behind every dyadic decomposition:
+# phi_hat(xi) = theta(xi/2) - theta(xi) is supported on 1/2 < |xi| < 2 and
+# telescopes to a partition of unity; rho(t) = psi(|t|)/t is odd, and
+# sum_j 2^j rho(2^j t) reconstructs 1/t where the telescope closes.
 
 
 def _bump_sigma(x: np.ndarray) -> np.ndarray:
@@ -121,7 +126,7 @@ def _bump_sigma(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _theta(xi) -> np.ndarray:
+def theta(xi) -> np.ndarray:
     """C^inf cutoff: 1 on |xi| <= 1/2, 0 on |xi| >= 1, mollifier-ratio glue."""
     xi = np.asarray(xi, dtype=float)
     s = 2.0 * (np.abs(xi) - 0.5)
@@ -135,41 +140,19 @@ def _theta(xi) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def _phi_hat(xi):
-    return _theta(np.asarray(xi, dtype=float) / 2.0) - _theta(xi)
+def phi_hat(xi):
+    return theta(np.asarray(xi, dtype=float) / 2.0) - theta(xi)
 
 
-def _psi(t):
-    return _phi_hat(np.abs(np.asarray(t, dtype=float)))
+def psi(t):
+    return phi_hat(np.abs(np.asarray(t, dtype=float)))
 
 
-def _rho(t):
+def rho(t):
     t = np.asarray(t, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(t != 0.0, _psi(t) / np.where(t != 0.0, t, 1.0), 0.0)
+        out = np.where(t != 0.0, psi(t) / np.where(t != 0.0, t, 1.0), 0.0)
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class CutoffFamily:
-    """theta / Phi-hat / rho triple driving every dyadic decomposition.
-
-    phi_hat(xi) = theta(xi/2) - theta(xi) is supported on 1/2 < |xi| < 2 and
-    telescopes to a partition of unity; rho(t) = psi(|t|)/t is odd, and
-    sum_j 2^j rho(2^j t) reconstructs 1/t where the telescope closes.
-    """
-
-    theta: Callable
-    phi_hat: Callable
-    rho: Callable
-    psi: Callable
-
-
-_DEFAULT = CutoffFamily(theta=_theta, phi_hat=_phi_hat, rho=_rho, psi=_psi)
-
-
-def default_family() -> CutoffFamily:
-    return _DEFAULT
 
 
 # -- norms -------------------------------------------------------------------
@@ -189,13 +172,12 @@ def lp_norm(f: GridFunction, p: float) -> float:
     return float(np.sum(w * np.abs(f.values) ** p) * f.step) ** (1.0 / p)
 
 
-def weak_lp_quasinorm(f: GridFunction, p: float, lambda_grid=None) -> float:
+def weak_lp_quasinorm(f: GridFunction, p: float) -> float:
     """sup over lambda of lambda * |{|f| >= lambda}|^(1/p), measure by step-counting.
 
     Closed sublevel sets make the sup attainable at the sample magnitudes
-    themselves (the lambda -> v^- limit of the open-set definition), so the
-    default path evaluates exactly there; an explicit lambda grid is honored
-    verbatim.
+    themselves (the lambda -> v^- limit of the open-set definition), so it is
+    evaluated exactly there.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -203,20 +185,11 @@ def weak_lp_quasinorm(f: GridFunction, p: float, lambda_grid=None) -> float:
     w = _trapezoid_weights(f.n) * f.step
     if not np.any(mag > 0):
         return 0.0
-    if lambda_grid is None:
-        order = np.argsort(mag)[::-1]
-        sorted_mag = mag[order]
-        suffix = np.cumsum(w[order])  # measure of {|f| >= sorted_mag[k]}
-        keep = sorted_mag > 0
-        return float(np.max(sorted_mag[keep] * suffix[keep] ** (1.0 / p)))
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.size == 0 or np.any(lambda_grid <= 0):
-        raise ValueError("lambda grid must be nonempty and positive")
-    best = 0.0
-    for lam in lambda_grid:
-        measure = float(np.sum(w[mag >= lam]))
-        best = max(best, lam * measure ** (1.0 / p))
-    return best
+    order = np.argsort(mag)[::-1]
+    sorted_mag = mag[order]
+    suffix = np.cumsum(w[order])  # measure of {|f| >= sorted_mag[k]}
+    keep = sorted_mag > 0
+    return float(np.max(sorted_mag[keep] * suffix[keep] ** (1.0 / p)))
 
 
 # -- Littlewood-Paley pieces ------------------------------------------------
@@ -232,12 +205,12 @@ def multiplier_piece(f: GridFunction, multiplier: Callable) -> GridFunction:
     return f.with_values(out)
 
 
-def littlewood_paley_piece(f: GridFunction, k: float, family: CutoffFamily = _DEFAULT) -> GridFunction:
+def littlewood_paley_piece(f: GridFunction, k: float) -> GridFunction:
     """f * Phi_k via Fourier multiplication with phi_hat(xi / 2^k); k may be fractional."""
     nyquist = 1.0 / (2.0 * f.step)
     if 2.0 ** (k + 1) >= nyquist:
         raise ValueError("scale too fine for grid")
-    return multiplier_piece(f, lambda xi: family.phi_hat(xi / 2.0**k))
+    return multiplier_piece(f, lambda xi: phi_hat(xi / 2.0**k))
 
 
 # -- maximal function --------------------------------------------------------
@@ -298,7 +271,4 @@ def convolve(f: GridFunction, kernel: Callable, support) -> GridFunction:
     ts = np.linspace(a, b, m)
     wt = _trapezoid_weights(m) * (b - a) / (m - 1)
     kv = np.asarray(kernel(ts), dtype=float) * wt
-    xs = f.x
-    shifted = xs[None, :] - ts[:, None]
-    vals = f(shifted.ravel()).reshape(m, f.n)
-    return f.with_values(kv @ vals)
+    return f.with_values(kv @ f(f.x[None, :] - ts[:, None]))

@@ -17,7 +17,7 @@ from scipy.special import sici
 
 from .report import ExperimentReport
 from .scales import ScalePartition, shifted_scale_set
-from .signals import CutoffFamily, GridFunction, _trapezoid_weights, default_family, hl_maximal, lp_norm, multiplier_piece
+from .signals import GridFunction, _trapezoid_weights, hl_maximal, lp_norm, multiplier_piece, phi_hat
 
 __all__ = [
     "DyadicInterval",
@@ -149,19 +149,21 @@ def random_open_set(seed: int, max_components: int) -> list:
     """Up to max_components disjoint intervals in (-10, 10), drawn from
     np.random.default_rng(seed): 2k sorted uniform endpoints for k uniform in
     1..max_components, keeping the intervals longer than 1e-4.  May be empty."""
+    if max_components < 1:
+        raise ValueError(f"max_components must be at least 1, got {max_components}")
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, max_components + 1))
     pts = np.sort(rng.uniform(-10, 10, 2 * k))
     return [(pts[2 * i], pts[2 * i + 1]) for i in range(k) if pts[2 * i + 1] - pts[2 * i] > 1e-4]
 
 
-def whitney_decompose(omega, defect_budget: float = 2.0**-35) -> list:
+def whitney_decompose(omega) -> list:
     """Disjoint dyadic intervals covering the open set with
     |J| <= dist(J, boundary) <= 3 |J|.
 
     Maximal dyadic cells strictly inside a component with dist >= |J| are
     emitted; ambiguous cells below the defect floor are dropped, which keeps
-    the coverage defect under defect_budget * |Omega|.
+    the coverage defect under 2^-35 |Omega|.
     """
     comps = _merge_intervals(omega)
     if not comps:
@@ -170,7 +172,7 @@ def whitney_decompose(omega, defect_budget: float = 2.0**-35) -> list:
     if not math.isfinite(total) or total <= 0:
         raise ValueError("Omega must be a bounded open set of positive measure")
     diam = comps[-1][1] - comps[0][0]
-    floor_len = total * defect_budget / 4.0
+    floor_len = total * 2.0**-35 / 4.0
     k0 = math.floor(-math.log2(diam))  # cells at least as long as the hull
     out = []
     n_lo = math.floor(comps[0][0] * 2.0**k0)
@@ -288,6 +290,8 @@ def build_tiles(partition: ScalePartition, l: int, m: int, x_range) -> list:
     m does not move the tile geometry (it labels the frequency localization
     used by the sizes) but is recorded by the caller's context.
     """
+    if len(x_range) != 2:
+        raise ValueError(f"x_range must be [lo, hi], got {list(x_range)!r}")
     lo, hi = map(float, x_range)
     if not hi > lo:
         raise ValueError("empty x_range")
@@ -391,7 +395,7 @@ def _tail_weight(interval: DyadicInterval, kscale: float, xs: np.ndarray) -> np.
 class _SizeContext:
     """Shared per-scale pieces and per-tile squared fields for size evaluation."""
 
-    def __init__(self, which, data, p, l, m, family, psi_weights, single_summand=False):
+    def __init__(self, which, data, p, l, m, psi_weights=None, single_summand=False):
         if p <= 1:
             raise ValueError("size exponent p must exceed 1")
         self.which = which
@@ -399,7 +403,6 @@ class _SizeContext:
         self.p = float(p)
         self.l = l
         self.m = m
-        self.family = family or default_family()
         self.psi = psi_weights
         self.single = single_summand or which == 2
         self._piece_cache: dict = {}
@@ -413,14 +416,13 @@ class _SizeContext:
     def _pieces(self, kscale: float):
         if kscale in self._piece_cache:
             return self._piece_cache[kscale]
-        fam = self.family
-        plain = multiplier_piece(self.data, lambda xi: fam.phi_hat(xi / 2.0**kscale)).values
+        plain = multiplier_piece(self.data, lambda xi: phi_hat(xi / 2.0**kscale)).values
         if self.single:
             dphi = None
         else:
             dphi = multiplier_piece(
                 self.data,
-                lambda xi: 2j * math.pi * (xi / 2.0**kscale) * fam.phi_hat(xi / 2.0**kscale),
+                lambda xi: 2j * math.pi * (xi / 2.0**kscale) * phi_hat(xi / 2.0**kscale),
             ).values
         xs = self.data.x
         if self.psi is None:
@@ -464,7 +466,6 @@ def tree_size(
     p: float,
     l: int,
     m: int,
-    family: CutoffFamily = None,
     psi_weights: Optional[ExceptionalWeights] = None,
     single_summand: bool = False,
 ) -> float:
@@ -474,7 +475,7 @@ def tree_size(
         raise ValueError("which must be 1 or 2")
     if not T.tiles:
         raise ValueError("empty tree")
-    ctx = _SizeContext(which, f_or_g, p, l, m, family, psi_weights, single_summand)
+    ctx = _SizeContext(which, f_or_g, p, l, m, psi_weights, single_summand)
     sq = None
     for tile in T.tiles:
         fields = ctx.tile_squared_fields(tile)
@@ -489,8 +490,6 @@ def set_size(
     p: float,
     l: int,
     m: int,
-    family: CutoffFamily = None,
-    psi_weights: Optional[ExceptionalWeights] = None,
 ) -> float:
     """k-size of a tile set: the largest tree_size over every candidate top,
     each tree holding all the tiles under it; 0 for an empty set.
@@ -504,7 +503,7 @@ def set_size(
     tiles = list(tiles)
     if not tiles:
         return 0.0
-    ctx = _SizeContext(which, data, p, l, m, family, psi_weights)
+    ctx = _SizeContext(which, data, p, l, m)
     fields = [ctx.tile_squared_fields(t) for t in tiles]
     best = 0.0
     seen = set()
@@ -541,8 +540,6 @@ def greedy_tree_selection(
     p: float,
     l: int,
     m: int,
-    family: CutoffFamily = None,
-    psi_weights: Optional[ExceptionalWeights] = None,
 ):
     """Extract maximal trees of k-size above (1/2)^(1/p) size_k(S) until the
     residual drops below the threshold.
@@ -555,7 +552,7 @@ def greedy_tree_selection(
     tiles = list(S)
     if not tiles:
         return [], []
-    ctx = _SizeContext(which, data, p, l, m, family, psi_weights)
+    ctx = _SizeContext(which, data, p, l, m)
     sq_fields = [ctx.tile_squared_fields(t) for t in tiles]
     candidates = _candidate_tops(tiles)
     members = {

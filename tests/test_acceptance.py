@@ -20,7 +20,7 @@ from curvelab.oscillatory import (
 from curvelab.polynomials import Polynomial, fit_decay_exponent, level_set_measure, real_roots_with_orders
 from curvelab.scales import classify_scales, verify_cardinality_bound
 from curvelab.sharpness import endpoint_scaling_experiment, predicted_endpoint_exponent, rootorder_scaling_experiment
-from curvelab.signals import GridFunction, default_family, maximal_p
+from curvelab.signals import GridFunction, maximal_p, rho
 from curvelab.tiling import (
     build_tiles,
     greedy_tree_selection,
@@ -30,8 +30,6 @@ from curvelab.tiling import (
     whitney_pair_properties,
     whitney_properties,
 )
-
-FAM = default_family()
 
 
 def report(num, ok, detail):
@@ -182,10 +180,10 @@ def test_criterion_6_stationary_phase_normalization():
             domain=(0.5, 2.0),
             derivs=(lambda t, xi=xi, eta=eta: -2 * math.pi * (xi + 2 * t * eta),),
         )
-        total = oscillatory_integral(ph, SmoothFn(fn=FAM.rho, domain=(0.5, 2.0)), 2.0**m, (0.5, 2.0))
-        total += oscillatory_integral(ph, SmoothFn(fn=FAM.rho, domain=(-2.0, -0.5)), 2.0**m, (-2.0, -0.5))
+        total = oscillatory_integral(ph, SmoothFn(fn=rho, domain=(0.5, 2.0)), 2.0**m, (0.5, 2.0))
+        total += oscillatory_integral(ph, SmoothFn(fn=rho, domain=(-2.0, -0.5)), 2.0**m, (-2.0, -0.5))
         t0 = -xi / (2 * eta)
-        target = float(FAM.rho(t0)) / math.sqrt(2.0 * abs(eta))
+        target = float(rho(t0)) / math.sqrt(2.0 * abs(eta))
         worst = max(worst, abs(abs(total) * 2.0 ** (m / 2) - target) / target)
     ok = worst <= 0.02
     report(6, ok, f"normalized magnitude within {worst * 100:.2f}% of rho(t0)/sqrt(2|eta|) at m=14, 3 pairs")

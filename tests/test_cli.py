@@ -122,6 +122,32 @@ class TestReplayDeterminism:
                     assert float(got[key]) == pytest.approx(val, rel=1e-15, abs=0)
 
 
+# each bad value and a fragment of its one error line: the field it names,
+# or "no cases checked"
+BAD_VALUES = {
+    'levelset --set orders=["a"]': "'orders'",
+    "inverse --set n_max=0": "n_max",
+    "pairs --set K=1": "K must",
+    'apply-T --set f={"kind":"gaussian"}': "'f'",
+    "apply-T --set grid=[0,1]": "'grid'",
+    "sharpness --set p1=0 --set r=0": "p1",
+    "rootorder --set p1=0 --set r=0": "p1",
+    "apply-M --set epsilons=[]": "epsilon grid",
+    "stationary --set m_list=[]": "no cases checked",
+    "classify --set j_range=[1]": "j_range",
+    "tiles --set j_range=[3]": "j_range",
+    "vdc --set interval=[1]": "'interval'",
+    "levelset --set orders=[0]": "'orders'",
+    "tiles --set x_range=[0]": "x_range",
+    "stationary --set pairs=[[1]]": "'pairs'",
+    "whitney --set max_components=0": "max_components",
+    "inverse --set count=0": "no cases checked",
+    "pairs --set count=0": "no cases checked",
+    "multiplier --set m_list=[]": "no cases checked",
+    "multiplier --set l=1": "l=1",
+}
+
+
 class TestSchemaAndUsage:
     def test_unknown_subcommand(self, capsys):
         assert run_cli(["frobnicate"]) == 1
@@ -149,21 +175,13 @@ class TestSchemaAndUsage:
         assert f"config field {field!r}" in capsys.readouterr().err
         assert not (tmp_path / f"{name}.csv").exists()
 
-    @pytest.mark.parametrize("argv", [
-        'levelset --set orders=["a"]',
-        "inverse --set n_max=0",
-        "pairs --set K=1",
-        'apply-T --set f={"kind":"gaussian"}',
-        "apply-T --set grid=[0,1]",
-        "sharpness --set p1=0 --set r=0",
-        "rootorder --set p1=0 --set r=0",
-        "apply-M --set epsilons=[]",
-        "stationary --set m_list=[]",
-    ])
+    @pytest.mark.parametrize("argv", list(BAD_VALUES))
     def test_bad_value_exit_1(self, tmp_path, capsys, argv):
         name = argv.split()[0]
         assert run_cli(argv.split() + ["--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert BAD_VALUES[argv] in err
         assert not (tmp_path / f"{name}.csv").exists()
 
     def test_asserted_bound_exit_2(self, tmp_path, capsys):

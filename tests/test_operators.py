@@ -14,9 +14,8 @@ from curvelab.operators import (
 )
 from curvelab.polynomials import Polynomial, fit_decay_exponent
 from curvelab.scales import classify_scales
-from curvelab.signals import GridFunction, default_family, lp_norm
+from curvelab.signals import GridFunction, lp_norm, phi_hat, rho
 
-FAM = default_family()
 P_SQ = Polynomial.curve([0, 1.0])  # t^2
 
 
@@ -55,7 +54,7 @@ class TestApplyTj:
                 w = np.full(ts.size, (b - a) / 32000)
                 w[0] *= 0.5
                 w[-1] *= 0.5
-                total += np.sum(w * 2.0 * FAM.rho(2.0 * ts) * f(x - ts))
+                total += np.sum(w * 2.0 * rho(2.0 * ts) * f(x - ts))
             assert res.output.values[idx] == pytest.approx(total, abs=1e-10)
 
     def test_self_convergence(self):
@@ -88,7 +87,7 @@ class TestApplyTj:
         g = GridFunction.indicator(-0.25, 1.0, -8, 8, 2049)
         res = apply_Tj(f, g, P_SQ, 0)
         rho_l1 = 2.0 * abs(
-            np.trapezoid(FAM.rho(np.linspace(0.5, 2.0, 20001)), dx=1.5 / 20000)
+            np.trapezoid(rho(np.linspace(0.5, 2.0, 20001)), dx=1.5 / 20000)
         )
         p = 2.0
         bound = rho_l1 * lp_norm(f, p) * lp_norm(g, p / (p - 1.0)) * (1 + 1e-3)
@@ -246,8 +245,8 @@ class TestMultiplier:
         xi, eta = c_xi * 2.0**m, c_eta * 2.0**m
         t0 = -c_xi / (2 * c_eta)
         val = abs(multiplier_Mmn(P_SQ, l, 0, m, m, xi, eta))
-        pred = FAM.rho(t0) * 2.0 ** (-m / 2) / math.sqrt(2.0 * abs(c_eta))
-        band = FAM.phi_hat(c_xi) * FAM.phi_hat(c_eta)
+        pred = rho(t0) * 2.0 ** (-m / 2) / math.sqrt(2.0 * abs(c_eta))
+        band = phi_hat(c_xi) * phi_hat(c_eta)
         assert val == pytest.approx(band * pred, rel=0.05)
 
 

@@ -21,9 +21,7 @@ from curvelab.oscillatory import (
     sublevel_check,
 )
 from curvelab.polynomials import Polynomial
-from curvelab.signals import GridFunction, default_family
-
-FAM = default_family()
+from curvelab.signals import GridFunction, rho
 
 
 def const_one(t):
@@ -64,10 +62,10 @@ class TestOscillatoryIntegral:
             domain=(0.5, 2.0),
             derivs=(lambda t: -2 * math.pi * (xi + 2 * t * eta),),
         )
-        amp = SmoothFn(fn=FAM.rho, domain=(0.5, 2.0))
+        amp = SmoothFn(fn=rho, domain=(0.5, 2.0))
         total = oscillatory_integral(ph, amp, 2.0**m, (0.5, 2.0))
         total += oscillatory_integral(ph, amp, 2.0**m, (-2.0, -0.5))
-        target = FAM.rho(1.0) / math.sqrt(2.0 * abs(eta))
+        target = rho(1.0) / math.sqrt(2.0 * abs(eta))
         assert abs(total) * 2.0 ** (m / 2) == pytest.approx(target, rel=0.02)
 
     def test_conjugate_symmetry(self):
@@ -121,16 +119,16 @@ class TestLevinRoute:
             d = P.derivative().eval(np.linspace(*comp, 4097))
             if np.all(d > 0) or np.all(d < 0):
                 cases.append((SmoothFn.from_polynomial(P, comp), comp, 2.0 ** rng.uniform(6, 12)))
-        refs = [dense_gl(ph, SmoothFn(fn=FAM.rho, domain=comp), lam, *comp) for ph, comp, lam in cases]
+        refs = [dense_gl(ph, SmoothFn(fn=rho, domain=comp), lam, *comp) for ph, comp, lam in cases]
 
         def no_gl(*args):
             raise AssertionError("fell back to Gauss-Legendre")
 
         monkeypatch.setattr(osc, "_composite_gl", no_gl)
         for (ph, comp, lam), ref in zip(cases, refs):
-            amp = SmoothFn(fn=FAM.rho, domain=comp)
+            amp = SmoothFn(fn=rho, domain=comp)
             got = oscillatory_integral(ph, amp, lam, comp)
-            # the acceptance rule at the default rel_tol
+            # the acceptance rule, at its 1e-8 relative tolerance
             assert abs(got - ref) <= 1e-8 * abs(ref) + osc._tol_floor(ph, amp, lam, *comp)
 
     def test_work_independent_of_lambda(self):
@@ -142,9 +140,9 @@ class TestLevinRoute:
         )
         points = []
         for m in (10, 14):
-            rho = CountingFn(FAM.rho)
-            oscillatory_integral(ph, SmoothFn(fn=rho, domain=(-2.0, -0.5)), 2.0**m, (-2.0, -0.5))
-            points.append(rho.points)
+            counted = CountingFn(rho)
+            oscillatory_integral(ph, SmoothFn(fn=counted, domain=(-2.0, -0.5)), 2.0**m, (-2.0, -0.5))
+            points.append(counted.points)
         assert points[0] == points[1]
         assert points[0] < 10**4
 

@@ -16,9 +16,7 @@ from curvelab.sharpness import (
     rootorder_scaling_experiment,
     t0_endpoint_value,
 )
-from curvelab.signals import GridFunction, default_family
-
-FAM = default_family()
+from curvelab.signals import GridFunction
 
 
 class TestEndpointBuilder:

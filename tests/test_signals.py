@@ -7,52 +7,53 @@ from hypothesis import strategies as st
 
 from curvelab.signals import (
     GridFunction,
+    _trapezoid_weights,
     convolve,
-    default_family,
     hl_maximal,
     littlewood_paley_piece,
     lp_norm,
     maximal_p,
+    phi_hat,
+    rho,
+    theta,
     weak_lp_quasinorm,
 )
-
-FAM = default_family()
 
 
 class TestCutoffs:
     def test_theta_plateau_and_support(self):
-        assert FAM.theta(0.0) == 1.0
-        assert FAM.theta(0.5) == 1.0
-        assert FAM.theta(-0.5) == 1.0
-        assert FAM.theta(1.0) == 0.0
-        assert FAM.theta(3.0) == 0.0
-        mid = FAM.theta(0.75)
+        assert theta(0.0) == 1.0
+        assert theta(0.5) == 1.0
+        assert theta(-0.5) == 1.0
+        assert theta(1.0) == 0.0
+        assert theta(3.0) == 0.0
+        mid = theta(0.75)
         assert 0.0 < mid < 1.0
 
     def test_phi_hat_support(self):
         xs = np.concatenate([np.linspace(-0.5, 0.5, 101), np.linspace(2.0, 5.0, 101), -np.linspace(2.0, 5.0, 101)])
-        assert np.max(np.abs(FAM.phi_hat(xs))) <= 1e-14
-        assert FAM.phi_hat(1.0) == 1.0  # theta(1/2)=1, theta(1)=0
+        assert np.max(np.abs(phi_hat(xs))) <= 1e-14
+        assert phi_hat(1.0) == 1.0  # theta(1/2)=1, theta(1)=0
 
     def test_rho_odd(self):
         ts = np.linspace(0.01, 3.0, 500)
-        np.testing.assert_allclose(FAM.rho(-ts), -FAM.rho(ts), atol=1e-15)
-        assert FAM.rho(0.0) == 0.0
+        np.testing.assert_allclose(rho(-ts), -rho(ts), atol=1e-15)
+        assert rho(0.0) == 0.0
 
     def test_rho_positive_on_interior(self):
         # strictly positive where the endpoint counterexample integrates;
         # float underflow flattens the glue within ~1e-2 of the support edges
         ts = np.linspace(0.6, 1.9, 200)
-        assert np.all(FAM.rho(ts) > 0)
+        assert np.all(rho(ts) > 0)
         wide = np.linspace(0.5001, 1.9999, 500)
-        assert np.all(FAM.rho(wide) >= 0)
+        assert np.all(rho(wide) >= 0)
 
     def test_telescoping_reconstructs_one_over_t(self):
         J = 10
         ts = np.concatenate([np.geomspace(2.0**-J, 2.0**J, 400), -np.geomspace(2.0**-J, 2.0**J, 400)])
         total = np.zeros_like(ts)
         for j in range(-J - 2, J + 3):
-            total += 2.0**j * FAM.rho(2.0**j * ts)
+            total += 2.0**j * rho(2.0**j * ts)
         np.testing.assert_allclose(total, 1.0 / ts, rtol=1e-12)
 
 
@@ -94,6 +95,23 @@ class TestWeakLp:
     def test_zero(self):
         f = GridFunction(0, 1, np.zeros(64))
         assert weak_lp_quasinorm(f, 2) == 0.0
+
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0]), st.floats(min_value=-3, max_value=3, allow_nan=False)),
+            min_size=2, max_size=40,
+        ),
+        st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    )
+    def test_matches_definition(self, vals, p):
+        # values drawn mostly from a few magnitudes make many level sets tie;
+        # the definition: max over sample magnitudes lam > 0 of
+        # lam * (trapezoid measure of {|f| >= lam})^(1/p)
+        f = GridFunction(0, 1, np.asarray(vals))
+        mag = np.abs(f.values)
+        w = _trapezoid_weights(f.n) * f.step
+        levels = [lam * np.sum(w[mag >= lam]) ** (1.0 / p) for lam in mag if lam > 0]
+        assert weak_lp_quasinorm(f, p) == pytest.approx(max(levels, default=0.0), rel=1e-12)
 
     @given(st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=8, max_size=64))
     def test_chebyshev_inequality(self, vals):
