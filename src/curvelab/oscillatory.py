@@ -107,6 +107,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _NODE_BUDGET = 1 << 26
 _REL_TOL = 1e-8
 _CHUNK = 1 << 21
+_SAMPLES = 4097  # phase' samples that find sup|phase'| and its sign flips
+_WINDOW = 8.0  # stationary window half-width, in units of (|lam phase''(t0)|)^(-1/2)
 
 
 def _lobatto_differentiation(n: int) -> tuple:
@@ -126,10 +128,9 @@ _LOBATTO_X, _LOBATTO_D = _lobatto_differentiation(25)
 _LEVIN_STACK = 512  # panels per batched solve: 512 * 25^2 complex entries = 5 MB
 
 
-def _sampled_derivative(phase: SmoothFn, a: float, b: float) -> np.ndarray:
-    """phase' at 4097 equispaced samples: analytic when the phase carries it,
-    else np.gradient of the sampled values."""
-    xs = np.linspace(a, b, 4097)
+def _sampled_derivative(phase: SmoothFn, xs: np.ndarray) -> np.ndarray:
+    """phase' at the points xs: analytic when the phase carries it, else
+    np.gradient of the sampled values."""
     if phase.derivative_order_available >= 1:
         return _eval_vec(phase.deriv(1), xs)
     return np.gradient(_eval_vec(phase.fn, xs), xs)
@@ -185,61 +186,32 @@ def _tol_floor(phase, amplitude, lam: float, a: float, b: float) -> float:
     return amp_mass * (1e-14 + abs(lam) * sup_phase * 5e-16)
 
 
-def oscillatory_integral(
-    phase: SmoothFn,
-    amplitude: SmoothFn,
-    lam: float,
-    interval=None,
-) -> complex:
-    """int exp(i*lam*phase(t)) amplitude(t) dt by one of two panel rules.
-
-    - Composite Gauss-Legendre: 16 nodes per panel, and at least 20 nodes per
-      oscillation period (estimated from lam * sup|phase'|) in the first pass.
-    - Levin collocation: on each panel, p' + i*lam*phase'*p = amplitude is
-      solved at 25 Chebyshev-Lobatto points and the panel contributes
-      [p exp(i*lam*phase)] at its two ends, so the work does not grow with lam.
-
-    Both rules double their panel count each pass and share one acceptance
-    rule: a pass is accepted once it moves the result by at most
-    1e-8 * |result| plus a floor for the rounding noise of exp(i*lam*phase).
-
-    The Levin rule is tried first when lam != 0, the phase carries an analytic
-    first derivative, and phase' has one strict sign on the 4097 samples that
-    estimate sup|phase'|, i.e. the interval has no stationary point.  It
-    starts at 4 panels, runs only if its second pass fits, and stops before
-    its node count would exceed that of the first Gauss-Legendre pass; the
-    Gauss-Legendre rule then runs as if Levin had not been tried.  The node
-    budget is checked before either rule.
-    """
-    a, b = map(float, interval if interval is not None else amplitude.domain)
-    if not b > a:
-        raise ValueError("empty interval")
-    dphase = _sampled_derivative(phase, a, b)
+def _one_piece(phase, amplitude, lam: float, a: float, b: float, dphase: np.ndarray) -> complex:
+    """int over [a, b] by one panel rule, given phase' at _SAMPLES points of [a, b]."""
     sup_dphase = float(np.max(np.abs(dphase)))
     periods = abs(lam) * sup_dphase * (b - a) / (2 * math.pi)
     n_nodes = max(128, int(math.ceil(20.0 * periods)))
     n_panels = max(8, int(math.ceil(n_nodes / _GL_NODES.size)))
-    if n_panels * _GL_NODES.size > _NODE_BUDGET:
-        raise ValueError(
-            f"node budget exceeded: needs about {n_panels * _GL_NODES.size} nodes"
-        )
-    tol_floor = _tol_floor(phase, amplitude, lam, a, b)
     gl_nodes = n_panels * _GL_NODES.size
+    tol_floor = _tol_floor(phase, amplitude, lam, a, b)
     one_sign = bool(np.all(dphase > 0) or np.all(dphase < 0))
+    levin_cap = min(gl_nodes, _NODE_BUDGET)
     levin_panels = 4
     if (
         lam != 0.0
         and phase.derivative_order_available >= 1
         and one_sign
-        and 2 * levin_panels * _LOBATTO_X.size <= gl_nodes
+        and 2 * levin_panels * _LOBATTO_X.size <= levin_cap
     ):
         prev = _composite_levin(phase, amplitude, lam, a, b, levin_panels)
-        while 2 * levin_panels * _LOBATTO_X.size <= gl_nodes:
+        while 2 * levin_panels * _LOBATTO_X.size <= levin_cap:
             levin_panels *= 2
             cur = _composite_levin(phase, amplitude, lam, a, b, levin_panels)
             if abs(cur - prev) <= _REL_TOL * abs(cur) + tol_floor:
                 return cur
             prev = cur
+    if gl_nodes > _NODE_BUDGET:
+        raise ValueError(f"node budget exceeded: needs about {gl_nodes} nodes")
     prev = _composite_gl(phase, amplitude, lam, a, b, n_panels)
     while True:
         n_panels *= 2
@@ -252,6 +224,81 @@ def oscillatory_integral(
         if abs(cur - prev) <= _REL_TOL * abs(cur) + tol_floor:
             return cur
         prev = cur
+
+
+def _cuts(phase, lam: float, xs: np.ndarray, dphase: np.ndarray) -> list:
+    """Ends of the pieces [xs[0], xs[-1]] is integrated in: the window
+    t0 -+ _WINDOW * (|lam * phase''(t0)|)^(-1/2), clipped, around the one
+    stationary point t0 and the two sides of it, or the whole interval when
+    the samples of phase' do not flip sign exactly once."""
+    a, b = float(xs[0]), float(xs[-1])
+    flips = np.nonzero(np.signbit(dphase[1:]) != np.signbit(dphase[:-1]))[0]
+    if lam == 0.0 or phase.derivative_order_available < 1 or flips.size != 1:
+        return [a, b]
+    i = int(flips[0])
+    t0 = bisect(phase.deriv(1), float(xs[i]), float(xs[i + 1]))
+    curvature = abs(lam * (dphase[i + 1] - dphase[i]) / (xs[i + 1] - xs[i]))
+    if curvature == 0.0:
+        return [a, b]
+    delta = _WINDOW / math.sqrt(curvature)
+    ends = [a, max(a, t0 - delta), min(b, t0 + delta), b]
+    return [ends[0]] + [hi for lo, hi in zip(ends, ends[1:]) if hi > lo]
+
+
+def oscillatory_integral(
+    phase: SmoothFn,
+    amplitude: SmoothFn,
+    lam: float,
+    interval=None,
+) -> complex:
+    """int exp(i*lam*phase(t)) amplitude(t) dt by two panel rules, on at most
+    three pieces of the interval.
+
+    - Composite Gauss-Legendre: 16 nodes per panel, and at least 20 nodes per
+      oscillation period (estimated from lam * sup|phase'|) in the first pass.
+    - Levin collocation: on each panel, p' + i*lam*phase'*p = amplitude is
+      solved at 25 Chebyshev-Lobatto points and the panel contributes
+      [p exp(i*lam*phase)] at its two ends, so the work does not grow with lam.
+
+    Both rules double their panel count each pass and share one acceptance
+    rule: a pass is accepted once it moves the result by at most
+    1e-8 * |result| plus a floor for the rounding noise of exp(i*lam*phase).
+
+    phase' is sampled at 4097 points, and the interval takes one of three
+    routes:
+
+    - Levin: lam != 0, the phase carries an analytic first derivative, and
+      phase' keeps one strict sign on the samples (no stationary point).
+    - Split: lam != 0, phase' is analytic and its samples flip sign exactly
+      once.  The stationary point t0 is bisected in the flip's bracket and
+      |phase''(t0)| estimated from the two bracketing samples.  A window of
+      half-width 8 * (|lam * phase''(t0)|)^(-1/2) around t0, clipped to the
+      interval, takes Gauss-Legendre, and each side of it is one more piece,
+      with phase' sampled again on it, that normally takes Levin (Olver 2006;
+      Iserles and Norsett 2005).  The pieces add up to the result.
+    - Gauss-Legendre: every other interval, and a split whose window covers
+      the whole interval.
+
+    Each piece has its own acceptance floor.  Levin starts at 4 panels, runs
+    only if its second pass fits, and stops before its node count would
+    exceed the first Gauss-Legendre pass's or the node budget; Gauss-Legendre
+    then runs as if Levin had not been tried.  The node budget (2^26 nodes)
+    is checked whenever Gauss-Legendre is about to run a pass, so work Levin
+    finishes is never refused.
+    """
+    a, b = map(float, interval if interval is not None else amplitude.domain)
+    if not b > a:
+        raise ValueError("empty interval")
+    xs = np.linspace(a, b, _SAMPLES)
+    dphase = _sampled_derivative(phase, xs)
+    cuts = _cuts(phase, lam, xs, dphase)
+    if len(cuts) == 2:
+        return _one_piece(phase, amplitude, lam, a, b, dphase)
+    total = 0.0 + 0.0j
+    for lo, hi in zip(cuts, cuts[1:]):
+        piece = _sampled_derivative(phase, np.linspace(lo, hi, _SAMPLES))
+        total += _one_piece(phase, amplitude, lam, lo, hi, piece)
+    return total
 
 
 # -- sublevel sets -------------------------------------------------------------

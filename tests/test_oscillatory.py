@@ -83,10 +83,21 @@ class TestOscillatoryIntegral:
         assert val <= mass * (1 + 1e-9)
 
     def test_budget_error(self):
+        # without an analytic phase' Levin cannot run, so Gauss-Legendre must
         amp = SmoothFn(fn=const_one, domain=(0, 1))
-        ph = smooth_poly([0, 1], (0, 1))
+        ph = SmoothFn(fn=lambda t: np.asarray(t, dtype=float), domain=(0, 1))
         with pytest.raises(ValueError, match="node budget"):
             oscillatory_integral(ph, amp, 1e12)
+
+    def test_levin_beyond_node_budget(self):
+        # the first Gauss-Legendre pass would need ~3e12 nodes; Levin needs none of them
+        amp = SmoothFn(fn=const_one, domain=(0, 1))
+        ph = smooth_poly([0, 1], (0, 1))
+        lam = 1e12
+        exact = (np.exp(1j * lam) - 1.0) / (1j * lam)
+        got = oscillatory_integral(ph, amp, lam)
+        # the acceptance rule's relative part alone: its floor, 5e-4 here, exceeds |exact|
+        assert abs(got - exact) <= 1e-8 * abs(exact)
 
 
 def dense_gl(ph, amp, lam, a, b):
@@ -163,6 +174,102 @@ class TestLevinRoute:
                 got = oscillatory_integral(ph, amp, lam, (a, b))
                 ref = dense_gl(ph, amp, lam, a, b)
                 assert abs(got - ref) <= 1e-8 * abs(ref) + osc._tol_floor(ph, amp, lam, a, b)
+
+
+def one_root_phase(rng, degree, interval):
+    """A polynomial phase of the given degree (2 or 4) whose derivative has
+    one simple root t0 inside the interval and no other there."""
+    a, b = interval
+    t0 = rng.uniform(a + 0.1 * (b - a), b - 0.1 * (b - a))
+    scale = float(rng.choice([-1, 1])) * rng.uniform(0.5, 3.0)
+    dP = np.array([-t0, 1.0]) * scale
+    if degree == 4:
+        # times alpha + (t - s)^2 with alpha > 0, which has no real root
+        s, alpha = rng.uniform(a, b), rng.uniform(0.2, 1.0)
+        dP = np.polynomial.polynomial.polymul(dP, [alpha + s * s, -2 * s, 1.0])
+    P = np.polynomial.polynomial.polyint(dP, k=rng.uniform(-1, 1))
+    return SmoothFn.from_polynomial(Polynomial(P), interval), t0
+
+
+def amplitude_on(interval):
+    return SmoothFn(fn=lambda t: np.exp(-((np.asarray(t) - 0.7) ** 2)), domain=interval)
+
+
+def assert_matches_dense_gl(ph, amp, lam, a, b):
+    got = oscillatory_integral(ph, amp, lam, (a, b))
+    ref = dense_gl(ph, amp, lam, a, b)
+    assert abs(got - ref) <= 1e-8 * abs(ref) + osc._tol_floor(ph, amp, lam, a, b)
+
+
+def n_pieces(ph, lam, a, b):
+    xs = np.linspace(a, b, osc._SAMPLES)
+    return len(osc._cuts(ph, lam, xs, osc._sampled_derivative(ph, xs))) - 1
+
+
+class TestStationarySplit:
+    """Intervals with one stationary point, cut into a Gauss-Legendre window
+    around it and Levin pieces beside it."""
+
+    @pytest.mark.parametrize("interval", [(0.5, 2.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("degree", [2, 4])
+    def test_matches_dense_gl(self, interval, degree):
+        rng = np.random.default_rng(90 + degree)
+        for _ in range(3):
+            ph, _ = one_root_phase(rng, degree, interval)
+            for k in range(6, 15, 2):
+                assert_matches_dense_gl(ph, amplitude_on(interval), 2.0**k, *interval)
+            assert n_pieces(ph, 2.0**14, *interval) >= 2
+
+    @pytest.mark.parametrize("where", ["on_sample", "halfway"])
+    def test_stationary_point_on_and_between_samples(self, where):
+        a, b = 0.0, 1.0
+        xs = np.linspace(a, b, osc._SAMPLES)
+        for k in (1000, 2048, 3001):
+            c = xs[k] if where == "on_sample" else 0.5 * (xs[k] + xs[k + 1])
+            ph = SmoothFn(
+                fn=lambda t, c=c: (np.asarray(t) - c) ** 2,
+                domain=(a, b),
+                derivs=(lambda t, c=c: 2.0 * (np.asarray(t) - c),),
+            )
+            for lam in (2.0**6, 2.0**10, 2.0**14):
+                assert_matches_dense_gl(ph, amplitude_on((a, b)), lam, a, b)
+            assert n_pieces(ph, 2.0**14, a, b) == 3
+
+    def test_window_clipped_at_either_end(self):
+        a, b, lam = 0.5, 2.0, 2.0**12
+        delta = osc._WINDOW / math.sqrt(lam * 2.0)
+        for c in (a + 0.5 * delta, b - 0.5 * delta):
+            ph = SmoothFn(
+                fn=lambda t, c=c: (np.asarray(t) - c) ** 2,
+                domain=(a, b),
+                derivs=(lambda t, c=c: 2.0 * (np.asarray(t) - c),),
+            )
+            assert n_pieces(ph, lam, a, b) == 2
+            assert_matches_dense_gl(ph, amplitude_on((a, b)), lam, a, b)
+
+    def test_degenerate_stationary_point(self):
+        # phase' = (t - c)^3 flips sign with phase''(c) = 0
+        a, b = 0.0, 1.0
+        for c in (0.37, 0.5):
+            ph = SmoothFn(
+                fn=lambda t, c=c: (np.asarray(t) - c) ** 4 / 4,
+                domain=(a, b),
+                derivs=(lambda t, c=c: (np.asarray(t) - c) ** 3,),
+            )
+            for k in range(6, 15, 2):
+                assert_matches_dense_gl(ph, amplitude_on((a, b)), 2.0**k, a, b)
+
+    def test_work_grows_slower_than_sqrt_lambda(self):
+        # the CLI's stationary phase at its default pair (xi, eta) = (-2, 1)
+        ph = SmoothFn(
+            fn=lambda t: -2 * math.pi * (-2.0 * t + t**2),
+            domain=(0.5, 2.0),
+            derivs=(lambda t: -2 * math.pi * (-2.0 + 2 * t),),
+        )
+        for m in (10, 14, 18):
+            counted = CountingFn(rho)
+            oscillatory_integral(ph, SmoothFn(fn=counted, domain=(0.5, 2.0)), 2.0**m, (0.5, 2.0))
+            assert counted.points < 2 * 10**4
 
 
 class TestSublevel:
