@@ -22,11 +22,11 @@ GOLDEN_CSV_SHA256 = {
     "classify": "ff8e8aae8db444869ef3e075f6757451ed17ed777882fbf34e9b9964bb6899aa",
     "inverse": "d95eaa40f43c0b384b3372b630b4ae82731eb25dd12c6f0c318f62f3ee1e67bb",
     "levelset": "0a2c8b54a565c4d21454f92c314b010a2a64fd1c7847d8f04790f44581d45ed8",
-    "multiplier": "4d3be5a1c991736b5cc7025d3a154a25b49e5ec9c893913cc29ee1fe4c28e91c",
+    "multiplier": "71ff334e8d1ca53db54cf9e8f00dbd84883c1c8ef7f72c07a89fb2eb4ba84e51",
     "pairs": "3d83cb23b0a99fe5c490887dca740bc2a00942740fac8460bd1e09bed515af77",
     "rootorder": "39d3b1f88a9d38d6764009092bd05fd159691ef79c498598cb750287ce8912a3",
     "sharpness": "b788057732e77c5f110d4898f267e53f4d70b8fbd50d994147629ea6164b730f",
-    "stationary": "34a4a134fad30c291008562e576bf10cd374a3667c6a6013036db562e08d0b55",
+    "stationary": "23d11afe38c2fbe70193fc30fb773ea1dbaf7ad6472ad90f85146ab85e787054",
     "tiles": "dba7bca366c336fb0ad02ec91750146c1413202f14f5c49b8c48ff70a493e19e",
     "vdc": "8547b282543a444d7123dcc37b01bf1a95cc8a7870a06ebd6d40ecfd0a31e546",
     "whitney": "247b5e9609edfd27a612aa5d1e5abcd860f1cfb990ac49e6e00df68135a01472",
