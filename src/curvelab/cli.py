@@ -206,7 +206,7 @@ def run_vdc(cfg, rng):
     pairs=[[-2.0, 1.0], [-1.5, 1.0], [-2.6, 1.0]], m_list=[10, 12, 14], rel_tol=0.02,
 )
 def run_stationary(cfg, rng):
-    if not all(_kind(pair) == "list" and len(pair) == 2 for pair in cfg["pairs"]):
+    if not all(_numbers(pair) and len(pair) == 2 for pair in cfg["pairs"]):
         raise ValueError(f"config field 'pairs' must hold [xi, eta] pairs, got {cfg['pairs']!r}")
     top = max(cfg["m_list"], default=None)
 
@@ -537,9 +537,14 @@ def run_multiplier(cfg, rng):
     rows = []
     for m in cfg["m_list"]:
         m = int(m)
-        xi = float(cfg["xi_band"]) * 2.0 ** (j_l + j + m)
-        eta = float(cfg["eta_band"]) * 2.0 ** (j_l + l * j + m)
-        val = abs(multiplier_Mmn(P, l, j, m, m, xi, eta))
+        try:
+            xi = float(cfg["xi_band"]) * 2.0 ** (j_l + j + m)
+            eta = float(cfg["eta_band"]) * 2.0 ** (j_l + l * j + m)
+            val = abs(multiplier_Mmn(P, l, j, m, m, xi, eta))
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(
+                f"config fields 'j' and 'm_list' put a frequency scale outside float range at j={j}, m={m}"
+            ) from None
         rows.append({"m": m, "abs_value": val, "normalized": val * 2.0 ** (m / 2)})
     top = max((r["normalized"] for r in rows), default=None)
     return ExperimentReport(

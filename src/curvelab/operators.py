@@ -72,6 +72,8 @@ def apply_Tj(
     nodes_per_component: int = 512,
 ) -> OperatorResult:
     """T_j(f,g)(x) = int f(x-t) g(x-P(t)) rho_j(t) dt on the grid of f."""
+    if nodes_per_component < 1:
+        raise ValueError(f"nodes_per_component must be at least 1, got {nodes_per_component}")
     P.require_no_linear_term()
     scale = 2.0 ** (-j)
     warn = 1.5 * scale < 4.0 * f.step

@@ -145,6 +145,9 @@ BAD_VALUES = {
     "pairs --set count=0": "no cases checked",
     "multiplier --set m_list=[]": "no cases checked",
     "multiplier --set l=1": "l=1",
+    "multiplier --set j=5000": "'j'",
+    "apply-T --set nodes=0": "nodes_per_component",
+    'stationary --set pairs=[["a","b"]]': "'pairs'",
 }
 
 
@@ -214,6 +217,14 @@ class TestSmallRuns:
     def test_stationary_small(self, tmp_path):
         code = run_cli(["stationary", "--out", str(tmp_path), "--set", "m_list=[8,10]", "--set", "pairs=[[-2.0,1.0]]", "--set", "rel_tol=0.2"])
         assert code == 0
+
+    def test_stationary_high_m(self, tmp_path):
+        # the 2^(-m/2) normalization far past the default ladder, in seconds
+        code = run_cli(["stationary", "--out", str(tmp_path), "--set", "m_list=[16,18,20]"])
+        assert code == 0
+        rows = json.loads((tmp_path / "stationary.json").read_text())["rows"]
+        assert len(rows) == 9
+        assert all(r["rel_err"] <= 1e-6 for r in rows)
 
     def test_inverse_small(self, tmp_path):
         code = run_cli(["inverse", "--out", str(tmp_path), "--set", "count=3"])
