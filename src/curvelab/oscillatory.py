@@ -227,10 +227,11 @@ def _one_piece(phase, amplitude, lam: float, a: float, b: float, dphase: np.ndar
 
 
 def _cuts(phase, lam: float, xs: np.ndarray, dphase: np.ndarray) -> list:
-    """Ends of the pieces [xs[0], xs[-1]] is integrated in: the window
-    t0 -+ _WINDOW * (|lam * phase''(t0)|)^(-1/2), clipped, around the one
-    stationary point t0 and the two sides of it, or the whole interval when
-    the samples of phase' do not flip sign exactly once."""
+    """Cut points a <= t0 - delta < t0 + delta <= b of [a, b] = [xs[0], xs[-1]]
+    around its one stationary point t0, with delta = _WINDOW *
+    |lam * phase''(t0)|^(-1/2), clipped to [a, b] and without repeats; just
+    [a, b] when the samples dphase of phase' at xs do not flip sign exactly
+    once."""
     a, b = float(xs[0]), float(xs[-1])
     flips = np.nonzero(np.signbit(dphase[1:]) != np.signbit(dphase[:-1]))[0]
     if lam == 0.0 or phase.derivative_order_available < 1 or flips.size != 1:

@@ -146,6 +146,7 @@ BAD_VALUES = {
     "multiplier --set m_list=[]": "no cases checked",
     "multiplier --set l=1": "l=1",
     "multiplier --set j=5000": "'j'",
+    "multiplier --set j=-5000": "'j'",
     "apply-T --set nodes=0": "nodes_per_component",
     'stationary --set pairs=[["a","b"]]': "'pairs'",
 }
