@@ -192,10 +192,9 @@ def _one_piece(phase, amplitude, lam: float, a: float, b: float, dphase: np.ndar
     periods = abs(lam) * sup_dphase * (b - a) / (2 * math.pi)
     n_nodes = max(128, int(math.ceil(20.0 * periods)))
     n_panels = max(8, int(math.ceil(n_nodes / _GL_NODES.size)))
-    gl_nodes = n_panels * _GL_NODES.size
     tol_floor = _tol_floor(phase, amplitude, lam, a, b)
     one_sign = bool(np.all(dphase > 0) or np.all(dphase < 0))
-    levin_cap = min(gl_nodes, _NODE_BUDGET)
+    levin_cap = min(n_panels * _GL_NODES.size, _NODE_BUDGET)
     levin_panels = 4
     if (
         lam != 0.0
@@ -210,20 +209,15 @@ def _one_piece(phase, amplitude, lam: float, a: float, b: float, dphase: np.ndar
             if abs(cur - prev) <= _REL_TOL * abs(cur) + tol_floor:
                 return cur
             prev = cur
-    if gl_nodes > _NODE_BUDGET:
-        raise ValueError(f"node budget exceeded: needs about {gl_nodes} nodes")
-    prev = _composite_gl(phase, amplitude, lam, a, b, n_panels)
+    prev = None
     while True:
-        n_panels *= 2
         if n_panels * _GL_NODES.size > _NODE_BUDGET:
-            raise ValueError(
-                f"node budget exceeded during refinement: needs about "
-                f"{n_panels * _GL_NODES.size} nodes"
-            )
+            raise ValueError(f"node budget exceeded: needs about {n_panels * _GL_NODES.size} nodes")
         cur = _composite_gl(phase, amplitude, lam, a, b, n_panels)
-        if abs(cur - prev) <= _REL_TOL * abs(cur) + tol_floor:
+        if prev is not None and abs(cur - prev) <= _REL_TOL * abs(cur) + tol_floor:
             return cur
         prev = cur
+        n_panels *= 2
 
 
 def _cuts(phase, lam: float, xs: np.ndarray, dphase: np.ndarray) -> list:
