@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _COMPONENTS = ((0.5, 2.0), (-2.0, -0.5))
+_CHUNK = 1 << 16  # elements per row chunk in _shifted_products: np.interp stays in cache
 
 
 @dataclass
@@ -46,6 +47,24 @@ def _quad_nodes(a: float, b: float, n: int):
     return np.linspace(a, b, n), _trapezoid_weights(n) * ((b - a) / (n - 1))
 
 
+def _product_buffer(f: GridFunction, g: GridFunction, rows: int, n: int) -> np.ndarray:
+    return np.empty((rows, n), dtype=complex if f.is_complex or g.is_complex else float)
+
+
+def _shifted_products(f, g, x, a, b, out):
+    """out[r] = f(x - a[r]) * g(x - b[r]) for every row r.
+
+    Rows are filled in chunks of about _CHUNK elements, so the arguments,
+    f, g and their product stay cache-sized; every element is computed as
+    the one-shot broadcast f(x[None, :] - a[:, None]) * g(...) computes it.
+    """
+    step = max(1, _CHUNK // x.size)
+    for s in range(0, a.size, step):
+        e = min(s + step, a.size)
+        np.multiply(f(x[None, :] - a[s:e, None]), g(x[None, :] - b[s:e, None]), out=out[s:e])
+    return out
+
+
 def _bilinear_sum(f, g, P, scale, x, subintervals, nodes_per_unit):
     """sum over subintervals of int f(x - scale*s) g(x - P(scale*s)) rho(s) ds."""
     out = np.zeros(x.size)
@@ -56,11 +75,10 @@ def _bilinear_sum(f, g, P, scale, x, subintervals, nodes_per_unit):
         rw = rho(ts) * w
         shifted = scale * ts
         curved = P.eval(shifted)
+        buf = _product_buffer(f, g, min(block, n), x.size)
         for s in range(0, n, block):
             e = min(s + block, n)
-            fv = f(x[None, :] - shifted[s:e, None])
-            gv = g(x[None, :] - curved[s:e, None])
-            out += rw[s:e] @ (fv * gv)
+            out += rw[s:e] @ _shifted_products(f, g, x, shifted[s:e], curved[s:e], buf[: e - s])
     return out
 
 
@@ -129,11 +147,12 @@ def apply_M(
         raise ValueError("epsilon grid must be nonempty, positive and sorted")
     x = f.x
     best = np.zeros(f.n)
+    buf = _product_buffer(f, g, 513, f.n)
     for eps in eps_arr:
         ts, w = _quad_nodes(-eps, eps, 513)
-        fv = f(x[None, :] - ts[:, None])
-        gv = g(x[None, :] - P.eval(ts)[:, None])
-        avg = (w / (2 * eps)) @ np.abs(fv * gv)
+        prod = _shifted_products(f, g, x, ts, P.eval(ts), buf)
+        mag = np.abs(prod, out=prod) if prod.dtype.kind == "f" else np.abs(prod)
+        avg = (w / (2 * eps)) @ mag
         np.maximum(best, avg, out=best)
     return f.with_values(best)
 

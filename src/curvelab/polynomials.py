@@ -78,7 +78,19 @@ class Polynomial:
         return 0.0
 
     def eval(self, t):
-        """Horner evaluation; accepts scalars or numpy arrays."""
+        """Horner evaluation; accepts scalars or numpy arrays.
+
+        A Python float or int (np.float64 included) takes a plain-float loop
+        with the same arithmetic as the array path: from 0.0, multiply by t
+        then add each coefficient, highest first.  It returns the same float
+        bit for bit, without the cost of a 0-d array.
+        """
+        if isinstance(t, (float, int)):
+            t = float(t)
+            out = 0.0
+            for c in reversed(self.coeffs):
+                out = out * t + c
+            return out
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         for c in reversed(self.coeffs):
