@@ -69,13 +69,13 @@ def _bilinear_sum(f, g, P, scale, x, subintervals, nodes_per_unit):
     """sum over subintervals of int f(x - scale*s) g(x - P(scale*s)) rho(s) ds."""
     out = np.zeros(x.size)
     block = max(8, (1 << 22) // max(1, x.size))
+    buf = _product_buffer(f, g, block, x.size)  # pages are touched only as rows are used
     for a, b in subintervals:
         n = max(33, int(math.ceil((b - a) * nodes_per_unit)) + 1)
         ts, w = _quad_nodes(a, b, n)
         rw = rho(ts) * w
         shifted = scale * ts
         curved = P.eval(shifted)
-        buf = _product_buffer(f, g, min(block, n), x.size)
         for s in range(0, n, block):
             e = min(s + block, n)
             out += rw[s:e] @ _shifted_products(f, g, x, shifted[s:e], curved[s:e], buf[: e - s])
