@@ -212,7 +212,7 @@ def _one_piece(phase, amplitude, lam: float, a: float, b: float, dphase: np.ndar
     prev = None
     while True:
         if n_panels * _GL_NODES.size > _NODE_BUDGET:
-            raise ValueError(f"node budget exceeded: needs about {n_panels * _GL_NODES.size} nodes")
+            raise ValueError(f"node budget exceeded: needs about {n_panels * _GL_NODES.size:.3g} nodes")
         cur = _composite_gl(phase, amplitude, lam, a, b, n_panels)
         if prev is not None and abs(cur - prev) <= _REL_TOL * abs(cur) + tol_floor:
             return cur
@@ -721,7 +721,7 @@ def bilinear_oscillatory_decay(
         nx = max(64, int(math.ceil(6.0 * abs(lam) * sup_dx * (b1 - a1) / (2 * math.pi))))
         ny = max(64, int(math.ceil(6.0 * abs(lam) * sup_dy * (b2 - a2) / (2 * math.pi))))
         if nx * ny > 1 << 31:
-            raise ValueError(f"node budget exceeded: {nx} x {ny} tensor nodes")
+            raise ValueError(f"node budget exceeded: {nx:.3g} x {ny:.3g} tensor nodes")
         txs, wx = _gl_axis(a1, b1, nx)
         tys, wy = _gl_axis(a2, b2, ny)
         fw = np.asarray(f(txs)) * wx

@@ -149,7 +149,16 @@ BAD_VALUES = {
     "multiplier --set j=-5000": "'j'",
     "apply-T --set nodes=0": "nodes_per_component",
     'stationary --set pairs=[["a","b"]]': "'pairs'",
+    "multiplier --set m_list=[1000]": "'m_list' at m=1000: node budget exceeded: needs about 2.68e+301 nodes",
 }
+
+
+def wrong_kind(default):
+    """A value of another JSON kind than default: a string for a number, a
+    number for a list or a string, a list for an object."""
+    if isinstance(default, (int, float)):
+        return "x"
+    return [1] if isinstance(default, dict) else 5
 
 
 class TestSchemaAndUsage:
@@ -186,6 +195,15 @@ class TestSchemaAndUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert BAD_VALUES[argv] in err
+        assert not (tmp_path / f"{name}.csv").exists()
+
+    @pytest.mark.parametrize("name,field", [(n, k) for n in sorted(SUBCOMMANDS) for k in sorted(SUBCOMMANDS[n][2])])
+    def test_every_field_rejects_wrong_kind(self, tmp_path, capsys, name, field):
+        value = json.dumps(wrong_kind(SUBCOMMANDS[name][2][field]))
+        assert run_cli([name, "--out", str(tmp_path), "--set", f"{field}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(field) in err
         assert not (tmp_path / f"{name}.csv").exists()
 
     def test_asserted_bound_exit_2(self, tmp_path, capsys):

@@ -94,6 +94,12 @@ class TestOscillatoryIntegral:
         with pytest.raises(ValueError, match="node budget"):
             oscillatory_integral(ph, amp, 1e12)
 
+    def test_budget_error_counts_in_three_digits(self):
+        amp = SmoothFn(fn=const_one, domain=(0, 1))
+        ph = SmoothFn(fn=lambda t: np.asarray(t, dtype=float), domain=(0, 1))
+        with pytest.raises(ValueError, match=r"^node budget exceeded: needs about [\d.]+e\+300 nodes$"):
+            oscillatory_integral(ph, amp, 1e300)
+
     def test_levin_beyond_node_budget(self):
         # the first Gauss-Legendre pass would need ~3e12 nodes; Levin needs none of them
         amp = SmoothFn(fn=const_one, domain=(0, 1))
@@ -596,6 +602,11 @@ class TestBilinearDecay:
         f = GridFunction.sample(bump(0.0, 0.4), -0.5, 0.5, 801)
         with pytest.raises(ValueError, match="derivative floor"):
             bilinear_oscillatory_decay(lambda x, y: 0.1 * x * y, 1, [16.0], f, f, (-0.5, 0.5), (-0.5, 0.5))
+
+    def test_tensor_budget_error_counts_in_three_digits(self):
+        f = GridFunction.sample(bump(0.0, 0.4), -0.5, 0.5, 801)
+        with pytest.raises(ValueError, match=r"^node budget exceeded: [\d.]+e\+\d+ x [\d.]+e\+\d+ tensor nodes$"):
+            bilinear_oscillatory_decay(lambda x, y: x * y, 1, [1e300], f, f, (-0.5, 0.5), (-0.5, 0.5))
 
     def test_otau_l2_phase(self):
         # O_tau built from the unperturbed l = 2 closed forms:
