@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from curvelab.operators import (
+    _CHUNK,
+    _COMPONENTS,
+    _product_buffer,
+    _quad_nodes,
+    _shifted_products,
     apply_H_truncated,
     apply_M,
     apply_Tj,
@@ -159,6 +166,67 @@ class TestApplyM:
         coarse = apply_M(f, g, P_SQ, [0.25, 1.0]).values
         fine = apply_M(f, g, P_SQ, [0.125, 0.25, 0.5, 1.0, 2.0]).values
         assert np.all(fine >= coarse - 1e-12)
+
+
+def bits(a):
+    """The raw bytes of a float or complex array as int64s, so -0.0 != 0.0."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestShiftedProducts:
+    """The row-chunked products against the one-shot broadcast, bit for bit."""
+
+    @given(st.sampled_from([17, 2049, _CHUNK + 3]), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_one_shot_broadcast(self, n, seed, complex_g):
+        # n = 17 and 2049 fill many rows per chunk, n = _CHUNK + 3 one row per chunk
+        rng = np.random.default_rng(seed)
+        lo, hi = -3.0, 5.0
+        f = GridFunction(lo, hi, rng.standard_normal(n))
+        gv = rng.standard_normal(n)
+        g = GridFunction(lo, hi, gv + 1j * rng.standard_normal(n) if complex_g else gv)
+        x = f.x
+        rows = int(rng.integers(1, 2 * max(1, _CHUNK // n) + 2))
+        # whole and half grid steps: shifts on grid points, halfway between
+        # them, and past [lo, hi] once |k| h / 2 > hi - lo
+        a = rng.integers(-4 * n, 4 * n, rows) * (f.step / 2)
+        b = np.where(rng.random(rows) < 0.5, a[::-1], rng.uniform(-2 * (hi - lo), 2 * (hi - lo), rows))
+        want = f(x[None, :] - a[:, None]) * g(x[None, :] - b[:, None])
+        got = _shifted_products(f, g, x, a, b, _product_buffer(f, g, rows, n))
+        assert got.dtype == want.dtype
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_apply_Tj_at_8193_matches_one_shot_blocks(self):
+        # 2^22 // 8193 = 511 rows per gemv block, so each component's 513
+        # nodes take two blocks; the sums must run over the same rows
+        f = gaussian(0.0, 1.0, n=8193)
+        g = gaussian(0.3, 0.9, n=8193)
+        x = f.x
+        block = max(8, (1 << 22) // x.size)
+        want = np.zeros(x.size)
+        for a, b in _COMPONENTS:
+            ts, w = _quad_nodes(a, b, max(33, int(math.ceil((b - a) * (512 / 1.5))) + 1))
+            rw = rho(ts) * w
+            shifted = 0.5 * ts
+            curved = P_SQ.eval(shifted)
+            assert block < ts.size
+            for s in range(0, ts.size, block):
+                e = min(s + block, ts.size)
+                want += rw[s:e] @ (f(x[None, :] - shifted[s:e, None]) * g(x[None, :] - curved[s:e, None]))
+        got = apply_Tj(f, g, P_SQ, 1).output.values
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("phase", [1.0, np.exp(0.3j)])
+    def test_apply_M_matches_one_shot(self, phase):
+        f = gaussian(0.0, 1.0, n=1025)
+        g = GridFunction(-8.0, 8.0, GridFunction.indicator(-1.0, 2.0, -8.0, 8.0, 1025).values * phase)
+        x = f.x
+        want = np.zeros(f.n)
+        for eps in (0.25, 0.5, 1.0):
+            ts, w = _quad_nodes(-eps, eps, 513)
+            prod = f(x[None, :] - ts[:, None]) * g(x[None, :] - P_SQ.eval(ts)[:, None])
+            want = np.maximum(want, (w / (2 * eps)) @ np.abs(prod))
+        got = apply_M(f, g, P_SQ, [0.25, 0.5, 1.0]).values
+        assert np.array_equal(bits(got), bits(want))
 
 
 class TestRestrictedAlpha:

@@ -42,6 +42,34 @@ class TestEval:
         ts = np.array([0.0, 1.0, 2.0])
         np.testing.assert_allclose(P.eval(ts), [0.0, 3.0, 16.0])
 
+    @staticmethod
+    def assert_scalar_path_matches_array_path(P, t):
+        got = P.eval(t)
+        with np.errstate(all="ignore"):
+            want = P.eval(np.array([t], dtype=float))[0]
+        assert type(got) is float
+        assert np.array([got]).view(np.int64)[0] == np.array([want]).view(np.int64)[0]
+
+    @pytest.mark.parametrize("t", [
+        0, 3, -7, 10**6, 0.0, -0.0, 1.5, np.float64(-0.0), np.float64(2.25),
+        1e200, -1e200, np.float64(1e300), math.inf, -math.inf, math.nan, np.float64(math.nan),
+    ])
+    @pytest.mark.parametrize("cs", [[0.0], [0.0, 0.0, 1.0], [1.0, -3.0, 0.0, 2.0], [-0.0, 0.5, -4.0, 0.0, 0.0, 7.0]])
+    def test_scalar_path_bits_at_special_points(self, cs, t):
+        # +-0.0, ints, np.float64, overflow to +-inf (1e200 squared), inf - inf and NaN
+        self.assert_scalar_path_matches_array_path(Polynomial(cs), t)
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+        st.one_of(
+            st.floats(),
+            st.integers(min_value=-(10**12), max_value=10**12),
+            st.floats(min_value=-1e3, max_value=1e3).map(np.float64),
+        ),
+    )
+    def test_scalar_path_matches_array_path(self, cs, t):
+        self.assert_scalar_path_matches_array_path(Polynomial(cs), t)
+
     @pytest.mark.parametrize("bad", [5, "12", [[1.0, 2.0]], [0.0, "x"], None])
     def test_non_numeric_coefficients_rejected(self, bad):
         with pytest.raises(ValueError, match="sequence of numbers"):
