@@ -155,7 +155,7 @@ BAD_VALUES = {
 
 def wrong_kind(default):
     """A value of another JSON kind than default: a string for a number, a
-    number for a list or a string, a list for an object."""
+    list for an object, a number for a list."""
     if isinstance(default, (int, float)):
         return "x"
     return [1] if isinstance(default, dict) else 5

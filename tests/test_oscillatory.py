@@ -94,12 +94,6 @@ class TestOscillatoryIntegral:
         with pytest.raises(ValueError, match="node budget"):
             oscillatory_integral(ph, amp, 1e12)
 
-    def test_budget_error_counts_in_three_digits(self):
-        amp = SmoothFn(fn=const_one, domain=(0, 1))
-        ph = SmoothFn(fn=lambda t: np.asarray(t, dtype=float), domain=(0, 1))
-        with pytest.raises(ValueError, match=r"^node budget exceeded: needs about [\d.]+e\+300 nodes$"):
-            oscillatory_integral(ph, amp, 1e300)
-
     def test_levin_beyond_node_budget(self):
         # the first Gauss-Legendre pass would need ~3e12 nodes; Levin needs none of them
         amp = SmoothFn(fn=const_one, domain=(0, 1))
