@@ -47,10 +47,6 @@ def _quad_nodes(a: float, b: float, n: int):
     return np.linspace(a, b, n), _trapezoid_weights(n) * ((b - a) / (n - 1))
 
 
-def _product_buffer(f: GridFunction, g: GridFunction, rows: int, n: int) -> np.ndarray:
-    return np.empty((rows, n), dtype=complex if f.is_complex or g.is_complex else float)
-
-
 def _shifted_products(f, g, x, a, b, out):
     """out[r] = f(x - a[r]) * g(x - b[r]) for every row r.
 
@@ -69,7 +65,8 @@ def _bilinear_sum(f, g, P, scale, x, subintervals, nodes_per_unit):
     """sum over subintervals of int f(x - scale*s) g(x - P(scale*s)) rho(s) ds."""
     out = np.zeros(x.size)
     block = max(8, (1 << 22) // max(1, x.size))
-    buf = _product_buffer(f, g, block, x.size)  # pages are touched only as rows are used
+    # pages are touched only as rows are used
+    buf = np.empty((block, x.size), dtype=complex if f.is_complex or g.is_complex else float)
     for a, b in subintervals:
         n = max(33, int(math.ceil((b - a) * nodes_per_unit)) + 1)
         ts, w = _quad_nodes(a, b, n)
@@ -147,12 +144,11 @@ def apply_M(
         raise ValueError("epsilon grid must be nonempty, positive and sorted")
     x = f.x
     best = np.zeros(f.n)
-    buf = _product_buffer(f, g, 513, f.n)
+    buf = np.empty((513, f.n), dtype=complex if f.is_complex or g.is_complex else float)
     for eps in eps_arr:
         ts, w = _quad_nodes(-eps, eps, 513)
         prod = _shifted_products(f, g, x, ts, P.eval(ts), buf)
-        mag = np.abs(prod, out=prod) if prod.dtype.kind == "f" else np.abs(prod)
-        avg = (w / (2 * eps)) @ mag
+        avg = (w / (2 * eps)) @ np.abs(prod)
         np.maximum(best, avg, out=best)
     return f.with_values(best)
 
