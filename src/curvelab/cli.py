@@ -546,7 +546,12 @@ def run_multiplier(cfg, rng):
                 f"config fields 'j' and 'm_list' put a frequency scale outside float range at j={j}, m={m}"
             ) from None
         except ValueError as exc:
-            raise ValueError(f"config field 'm_list' at m={m}: {exc}") from None
+            if not str(exc).startswith("node budget exceeded"):
+                raise
+            raise ValueError(
+                f"config fields 'm_list', 'xi_band', 'eta_band', 'j' and 'coeffs' set the phase scale;"
+                f" at m={m}: {exc}"
+            ) from None
         rows.append({"m": m, "abs_value": val, "normalized": val * 2.0 ** (m / 2)})
     top = max((r["normalized"] for r in rows), default=None)
     return ExperimentReport(

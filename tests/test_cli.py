@@ -149,7 +149,7 @@ BAD_VALUES = {
     "multiplier --set j=-5000": "'j'",
     "apply-T --set nodes=0": "nodes_per_component",
     'stationary --set pairs=[["a","b"]]': "'pairs'",
-    "multiplier --set m_list=[1000]": "'m_list' at m=1000: node budget exceeded: needs about 2.68e+301 nodes",
+    "multiplier --set m_list=[1000]": "'m_list', 'xi_band', 'eta_band', 'j' and 'coeffs' set the phase scale; at m=1000: node budget exceeded: needs about 2.68e+301 nodes",
 }
 
 
@@ -211,6 +211,14 @@ class TestSchemaAndUsage:
         assert run_cli(["sharpness", "--out", str(tmp_path), "--set", "d=45"]) == 2
         assert capsys.readouterr().err.startswith("error: pointwise bound T_0 >= delta/8 failed")
         assert not (tmp_path / "sharpness.csv").exists()
+
+    def test_multiplier_names_fields_only_for_budget_errors(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise ValueError("quadrature failed")
+
+        monkeypatch.setattr("curvelab.cli.multiplier_Mmn", fail)
+        assert run_cli(["multiplier", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: quadrature failed\n"
 
     def test_wrong_json_kind_in_config_file_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
