@@ -540,8 +540,9 @@ def run_multiplier(cfg, rng):
         try:
             xi = float(cfg["xi_band"]) * 2.0 ** (j_l + j + m)
             eta = float(cfg["eta_band"]) * 2.0 ** (j_l + l * j + m)
-            val = abs(multiplier_Mmn(P, l, j, m, m, xi, eta))
-        except (OverflowError, ZeroDivisionError):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                val = abs(multiplier_Mmn(P, l, j, m, m, xi, eta))
+        except (OverflowError, ZeroDivisionError, FloatingPointError):
             raise ValueError(
                 f"config fields 'j' and 'm_list' put a frequency scale outside float range at j={j}, m={m}"
             ) from None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .oscillatory import SmoothFn, j_l_shift, oscillatory_integral, q_perturbation
 from .polynomials import Polynomial, bands
-from .signals import GridFunction, _trapezoid_weights, lp_norm, phi_hat, rho
+from .signals import GridFunction, _quad_nodes, lp_norm, phi_hat, rho
 
 __all__ = [
     "OperatorResult",
@@ -41,10 +41,6 @@ class OperatorResult:
     nodes_per_component: int = 0
     resolution_warning: bool = False
     extras: dict = field(default_factory=dict)
-
-
-def _quad_nodes(a: float, b: float, n: int):
-    return np.linspace(a, b, n), _trapezoid_weights(n) * ((b - a) / (n - 1))
 
 
 def _shifted_products(f, g, x, a, b, out):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .polynomials import Polynomial, bisect, fit_decay_exponent, real_roots_with_orders
 from .report import ExperimentReport
-from .signals import GridFunction, _trapezoid_weights, lp_norm, rho
+from .signals import GridFunction, _quad_nodes, lp_norm, rho
 
 __all__ = [
     "CounterexampleInstance",
@@ -172,9 +172,8 @@ def _delta_sweep(name, instances, value, e_pred, config) -> ExperimentReport:
     rows = []
     for inst in instances:
         w_lo, w_hi = inst.window
-        xs = np.linspace(w_lo, w_hi, _N_WINDOW)
+        xs, wq = _quad_nodes(w_lo, w_hi, _N_WINDOW)
         vals = np.array([value(inst, float(x)) for x in xs])
-        wq = _trapezoid_weights(_N_WINDOW) * ((w_hi - w_lo) / (_N_WINDOW - 1))
         norm_r = float(np.sum(wq * vals**r)) ** (1.0 / r)
         ratio = norm_r / (lp_norm(inst.f, p1) * lp_norm(inst.g, p2))
         rows.append({"delta": inst.delta, "ratio": ratio})

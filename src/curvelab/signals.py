@@ -7,7 +7,6 @@ shift arguments by t and P(t), which routinely leaves the sampled window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +23,6 @@ __all__ = [
     "littlewood_paley_piece",
     "multiplier_piece",
     "hl_maximal",
-    "convolve",
 ]
 
 
@@ -164,6 +162,11 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
+def _quad_nodes(a: float, b: float, n: int):
+    """n equispaced nodes on [a, b] and their trapezoid weights."""
+    return np.linspace(a, b, n), _trapezoid_weights(n) * ((b - a) / (n - 1))
+
+
 def lp_norm(f: GridFunction, p: float) -> float:
     """(integral |f|^p)^(1/p) with trapezoid end-weights; quasi-norm for p < 1."""
     if p <= 0:
@@ -254,21 +257,3 @@ def maximal_p(f: GridFunction, p: float) -> GridFunction:
     """M_p f = (M |f|^p)^(1/p)."""
     mp = hl_maximal(f.with_values(np.abs(f.values) ** p))
     return f.with_values(mp.values ** (1.0 / p))
-
-
-# -- spatial convolution ------------------------------------------------------
-
-
-def convolve(f: GridFunction, kernel: Callable, support) -> GridFunction:
-    """Trapezoid quadrature of (f * kernel)(x) = int f(x - t) kernel(t) dt.
-
-    Quadrature nodes are at least 8 per grid step across the kernel support.
-    """
-    a, b = float(support[0]), float(support[1])
-    if not b > a:
-        raise ValueError("empty kernel support")
-    m = max(17, int(math.ceil((b - a) / f.step * 8)) + 1)
-    ts = np.linspace(a, b, m)
-    wt = _trapezoid_weights(m) * (b - a) / (m - 1)
-    kv = np.asarray(kernel(ts), dtype=float) * wt
-    return f.with_values(kv @ f(f.x[None, :] - ts[:, None]))

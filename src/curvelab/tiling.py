@@ -1,6 +1,5 @@
-"""Exceptional sets, Whitney decomposition with geometric property checks,
-dyadic tiles and trees with their sizes, and greedy size-halving tree
-selection.
+"""Whitney decomposition with geometric property checks, dyadic tiles and
+trees with their sizes, and greedy size-halving tree selection.
 
 Dyadic bookkeeping runs on integer (scale, index) pairs so nesting and
 disjointness are exact; only measures and distances become floats.
@@ -9,22 +8,19 @@ disjointness are exact; only measures and distances become floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.special import sici
 
 from .report import ExperimentReport
 from .scales import ScalePartition, shifted_scale_set
-from .signals import GridFunction, _trapezoid_weights, hl_maximal, lp_norm, multiplier_piece, phi_hat
+from .signals import GridFunction, _trapezoid_weights, multiplier_piece, phi_hat
 
 __all__ = [
     "DyadicInterval",
     "Tile",
     "Tree",
-    "ExceptionalWeights",
-    "exceptional_set",
     "random_open_set",
     "whitney_decompose",
     "whitney_properties",
@@ -95,7 +91,7 @@ class Tree:
                 raise ValueError("tile interval escapes the tree top")
 
 
-# -- exceptional sets ----------------------------------------------------------
+# -- Whitney decomposition -----------------------------------------------------
 
 
 def _merge_intervals(intervals) -> list:
@@ -107,37 +103,6 @@ def _merge_intervals(intervals) -> list:
         else:
             out.append([a, b])
     return [(a, b) for a, b in out]
-
-
-def exceptional_set(F1: GridFunction, F2: GridFunction, F3: GridFunction, C: float) -> list:
-    """Omega = {M 1_F1 > C|F1|/|F3|} u {M 1_F2 > C|F2|/|F3|} as maximal grid intervals."""
-    for F in (F2, F3):
-        if (F.lo, F.hi, F.n) != (F1.lo, F1.hi, F1.n):
-            raise ValueError("indicator grids must agree")
-    m3 = lp_norm(F3, 1.0)
-    if m3 == 0.0:
-        raise ValueError("|F3| must be positive")
-    mask = np.zeros(F1.n, dtype=bool)
-    for F in (F1, F2):
-        mF = lp_norm(F, 1.0)
-        if mF == 0.0:
-            raise ValueError("indicator measures must be positive")
-        mask |= hl_maximal(F).values > C * mF / m3
-    xs = F1.x
-    out = []
-    start = None
-    for i in range(F1.n):
-        if mask[i] and start is None:
-            start = xs[i]
-        elif not mask[i] and start is not None:
-            out.append((start, xs[i - 1]))
-            start = None
-    if start is not None:
-        out.append((start, xs[-1]))
-    return [(a, b) for a, b in out if b > a]
-
-
-# -- Whitney decomposition -----------------------------------------------------
 
 
 def _dist_to_boundary(lo: float, hi: float, comp) -> float:
@@ -327,57 +292,6 @@ def tree_top(tiles) -> DyadicInterval:
     raise ValueError("no common dyadic ancestor found")
 
 
-class ExceptionalWeights:
-    """psi_k = 1_{Omega_k^c} * (Fejer profile at scale 2^k), with exact
-    derivative formulas.
-
-    The profile sinc^2 has unit mass and Fourier transform supported on
-    [-1, 1]; Omega_k keeps the points of Omega deeper than 2^-k.
-    """
-
-    def __init__(self, omega):
-        self.comps = _merge_intervals(omega)
-
-    @staticmethod
-    def _profile(u):
-        u = np.asarray(u, dtype=float)
-        out = np.ones_like(u)
-        nz = np.abs(u) > 1e-12
-        out[nz] = (np.sin(math.pi * u[nz]) / (math.pi * u[nz])) ** 2
-        return out
-
-    @staticmethod
-    def _antiderivative(u):
-        u = np.asarray(u, dtype=float)
-        out = np.empty_like(u)
-        small = np.abs(u) <= 1e-8
-        out[small] = u[small]
-        ub = u[~small]
-        si, _ = sici(2.0 * math.pi * ub)
-        out[~small] = si / math.pi - np.sin(math.pi * ub) ** 2 / (math.pi**2 * ub)
-        return out
-
-    def _omega_k(self, k: float) -> list:
-        r = 2.0**-k
-        return [(a + r, b - r) for a, b in self.comps if b - a > 2 * r]
-
-    def psi(self, k: float, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        out = np.ones_like(xs)
-        s = 2.0**k
-        for a, b in self._omega_k(k):
-            out -= self._antiderivative(s * (xs - a)) - self._antiderivative(s * (xs - b))
-        return out
-
-    def dpsi(self, k: float, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        s = 2.0**k
-        for a, b in self._omega_k(k):
-            out -= s * (self._profile(s * (xs - a)) - self._profile(s * (xs - b)))
-        return out
-
-
 def _tail_weight(interval: DyadicInterval, kscale: float, xs: np.ndarray) -> np.ndarray:
     """1**: integral over the tile interval of the K-decay tail at scale 2^kscale.
 
@@ -393,9 +307,15 @@ def _tail_weight(interval: DyadicInterval, kscale: float, xs: np.ndarray) -> np.
 
 
 class _SizeContext:
-    """Shared per-scale pieces and per-tile squared fields for size evaluation."""
+    """Per-scale pieces, per-tile squared fields and the size formula.
 
-    def __init__(self, which, data, p, l, m, psi_weights=None, single_summand=False):
+    The pieces at frequency scale k are Phi_k f and, for which=1 only, the
+    derivative-weighted piece (2 pi i xi / 2^k) phi_hat(xi / 2^k).
+    """
+
+    def __init__(self, which, data, p, l, m):
+        if which not in (1, 2):
+            raise ValueError("which must be 1 or 2")
         if p <= 1:
             raise ValueError("size exponent p must exceed 1")
         self.which = which
@@ -403,8 +323,6 @@ class _SizeContext:
         self.p = float(p)
         self.l = l
         self.m = m
-        self.psi = psi_weights
-        self.single = single_summand or which == 2
         self._piece_cache: dict = {}
 
     def _freq_scale(self, tile: Tile) -> float:
@@ -413,110 +331,48 @@ class _SizeContext:
             return j_l_int + tile.j + self.m
         return j_l_int + self.l * tile.j + self.m
 
-    def _pieces(self, kscale: float):
-        if kscale in self._piece_cache:
-            return self._piece_cache[kscale]
-        plain = multiplier_piece(self.data, lambda xi: phi_hat(xi / 2.0**kscale)).values
-        if self.single:
-            dphi = None
-        else:
-            dphi = multiplier_piece(
-                self.data,
-                lambda xi: 2j * math.pi * (xi / 2.0**kscale) * phi_hat(xi / 2.0**kscale),
-            ).values
-        xs = self.data.x
-        if self.psi is None:
-            psi_v = np.ones_like(xs)
-            dpsi_v = np.zeros_like(xs)
-        else:
-            psi_v = self.psi.psi(kscale, xs)
-            dpsi_v = self.psi.dpsi(kscale, xs)
-        out = (plain, dphi, psi_v, dpsi_v)
-        self._piece_cache[kscale] = out
-        return out
+    def _pieces(self, kscale: float) -> list:
+        if kscale not in self._piece_cache:
+            pieces = [multiplier_piece(self.data, lambda xi: phi_hat(xi / 2.0**kscale)).values]
+            if self.which == 1:
+                pieces.append(multiplier_piece(
+                    self.data,
+                    lambda xi: 2j * math.pi * (xi / 2.0**kscale) * phi_hat(xi / 2.0**kscale),
+                ).values)
+            self._piece_cache[kscale] = pieces
+        return self._piece_cache[kscale]
 
     def tile_squared_fields(self, tile: Tile) -> np.ndarray:
-        """Squared summand fields for one tile, stacked (n_summands, grid)."""
+        """|w * piece|^2 for each piece, stacked (n_pieces, grid), where w is
+        the tile's tail weight."""
         kscale = self._freq_scale(tile)
         nyquist = 1.0 / (2.0 * self.data.step)
         if 2.0 ** (kscale + 1) >= nyquist:
             raise ValueError("scale too fine for grid")
-        plain, dphi, psi_v, dpsi_v = self._pieces(kscale)
         w = _tail_weight(tile.interval, kscale, self.data.x)
-        rows = [np.abs(w * psi_v * plain) ** 2]
-        if not self.single:
-            rows.append(np.abs(w * psi_v * dphi) ** 2)
-            rows.append(np.abs(w * dpsi_v * plain) ** 2)
-        return np.stack(rows)
+        return np.stack([np.abs(w * piece) ** 2 for piece in self._pieces(kscale)])
 
-    def size_from_squares(self, sq_sum: np.ndarray, top: DyadicInterval) -> float:
-        step = self.data.step
-        wts = _trapezoid_weights(self.data.n)
-        total = 0.0
-        for row in sq_sum:
-            norm_p = float(np.sum(wts * np.sqrt(row) ** self.p) * step) ** (1.0 / self.p)
-            total += norm_p
-        return total * top.length ** (-1.0 / self.p)
-
-
-def tree_size(
-    T: Tree,
-    which: int,
-    f_or_g: GridFunction,
-    p: float,
-    l: int,
-    m: int,
-    psi_weights: Optional[ExceptionalWeights] = None,
-    single_summand: bool = False,
-) -> float:
-    """k-size of a tree: |I_T|^(-1/p) times the summed L^p norms of the
-    localized square functions (three summands for which=1, one for which=2)."""
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    if not T.tiles:
-        raise ValueError("empty tree")
-    ctx = _SizeContext(which, f_or_g, p, l, m, psi_weights, single_summand)
-    sq = None
-    for tile in T.tiles:
-        fields = ctx.tile_squared_fields(tile)
-        sq = fields if sq is None else sq + fields
-    return ctx.size_from_squares(sq, T.top)
-
-
-def set_size(
-    tiles: Sequence[Tile],
-    which: int,
-    data: GridFunction,
-    p: float,
-    l: int,
-    m: int,
-) -> float:
-    """k-size of a tile set: the largest tree_size over every candidate top,
-    each tree holding all the tiles under it; 0 for an empty set.
-
-    One _SizeContext serves every candidate, and each tile's squared fields
-    are computed once.  Fields are summed in tile order, as tree_size sums
-    them, so each candidate's size is bit-identical to tree_size's.
-    """
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    tiles = list(tiles)
-    if not tiles:
-        return 0.0
-    ctx = _SizeContext(which, data, p, l, m)
-    fields = [ctx.tile_squared_fields(t) for t in tiles]
-    best = 0.0
-    seen = set()
-    for cand in _candidate_tops(tiles):
-        idx = tuple(i for i, t in enumerate(tiles) if cand.contains(t.interval))
-        if not idx or idx in seen:
-            continue
-        seen.add(idx)
+    def size(self, fields, idx, top: DyadicInterval) -> float:
+        """|top|^(-1/p) times the summed L^p norms of the square functions of
+        the tiles idx; their fields are added in the order of idx."""
         sq = fields[idx[0]]
         for i in idx[1:]:
             sq = sq + fields[i]
-        best = max(best, ctx.size_from_squares(sq, tree_top([tiles[i] for i in idx])))
-    return best
+        wts = _trapezoid_weights(self.data.n)
+        total = 0.0
+        for row in sq:
+            total += float(np.sum(wts * np.sqrt(row) ** self.p) * self.data.step) ** (1.0 / self.p)
+        return total * top.length ** (-1.0 / self.p)
+
+
+def tree_size(T: Tree, which: int, f_or_g: GridFunction, p: float, l: int, m: int) -> float:
+    """k-size of a tree: |I_T|^(-1/p) times the summed L^p norms of the
+    localized square functions (two summands for which=1, one for which=2)."""
+    ctx = _SizeContext(which, f_or_g, p, l, m)
+    if not T.tiles:
+        raise ValueError("empty tree")
+    fields = [ctx.tile_squared_fields(t) for t in T.tiles]
+    return ctx.size(fields, range(len(fields)), T.top)
 
 
 def _candidate_tops(tiles: Sequence[Tile]) -> list:
@@ -533,6 +389,47 @@ def _candidate_tops(tiles: Sequence[Tile]) -> list:
     return sorted(seen, key=lambda c: (c.k, c.n))
 
 
+def _member_sets(tiles: Sequence[Tile]) -> list:
+    """The distinct nonempty index tuples, each in tile order, of the tiles
+    under a candidate top, in the order the candidates first produce them."""
+    sets: dict = {}
+    for cand in _candidate_tops(tiles):
+        idx = tuple(i for i, t in enumerate(tiles) if cand.contains(t.interval))
+        if idx:
+            sets.setdefault(idx, None)
+    return list(sets)
+
+
+def _grown_trees(ctx: _SizeContext, tiles, fields, sets):
+    """(size, hull top, idx) of the tree holding the tiles idx, per set."""
+    for idx in sets:
+        top = tree_top([tiles[i] for i in idx])
+        yield ctx.size(fields, idx, top), top, idx
+
+
+def set_size(
+    tiles: Sequence[Tile],
+    which: int,
+    data: GridFunction,
+    p: float,
+    l: int,
+    m: int,
+) -> float:
+    """k-size of a tile set: the largest tree_size over every candidate top,
+    each tree holding all the tiles under it; 0 for an empty set.
+
+    Each tile's squared fields are computed once and summed in tile order, as
+    tree_size sums them, so each candidate's size is bit-identical to
+    tree_size's.
+    """
+    ctx = _SizeContext(which, data, p, l, m)
+    tiles = list(tiles)
+    if not tiles:
+        return 0.0
+    fields = [ctx.tile_squared_fields(t) for t in tiles]
+    return max([0.0, *(s for s, _, _ in _grown_trees(ctx, tiles, fields, _member_sets(tiles)))])
+
+
 def greedy_tree_selection(
     S: Sequence[Tile],
     which: int,
@@ -542,67 +439,40 @@ def greedy_tree_selection(
     m: int,
 ):
     """Extract maximal trees of k-size above (1/2)^(1/p) size_k(S) until the
-    residual drops below the threshold.
+    residual drops below the threshold; returns (forest, residual).
 
     Candidate tops are all ancestor hulls; each round grows the tree to every
     remaining tile under the top, keeps only inclusion-maximal eligible tops,
     and breaks ties leftmost-then-coarsest.  This makes the extracted tops
-    pairwise disjoint and the residual size halving structural.
+    pairwise disjoint and the residual size halving structural.  Sizes are
+    the ones set_size computes, bit for bit.
     """
+    ctx = _SizeContext(which, data, p, l, m)
     tiles = list(S)
     if not tiles:
         return [], []
-    ctx = _SizeContext(which, data, p, l, m)
-    sq_fields = [ctx.tile_squared_fields(t) for t in tiles]
-    candidates = _candidate_tops(tiles)
-    members = {
-        cand: frozenset(i for i, t in enumerate(tiles) if cand.contains(t.interval))
-        for cand in candidates
-    }
-    # one representative per distinct member set is enough: the hull top is
-    # recomputed from the members anyway
-    rep: dict = {}
-    for cand in candidates:
-        key = members[cand]
-        if key and key not in rep:
-            rep[key] = cand
-    member_sets = list(rep.items())
-
-    def grown_size(idx_set):
-        sq = sum(sq_fields[i] for i in idx_set)
-        sub = [tiles[i] for i in idx_set]
-        top = tree_top(sub)
-        return ctx.size_from_squares(sq, top), top
-
-    size_S = 0.0
-    for key, _ in member_sets:
-        s, _ = grown_size(key)
-        size_S = max(size_S, s)
+    fields = [ctx.tile_squared_fields(t) for t in tiles]
+    sets = _member_sets(tiles)
+    size_S = max([0.0, *(s for s, _, _ in _grown_trees(ctx, tiles, fields, sets))])
     threshold = 0.5 ** (1.0 / p) * size_S
 
     remaining = set(range(len(tiles)))
     forest = []
     while remaining:
-        eligible = []
-        for key, cand in member_sets:
-            idx = key & remaining
-            if not idx:
-                continue
-            s, top = grown_size(idx)
-            if s > threshold:
-                eligible.append((cand, idx, top, s))
+        live = [idx for idx in (tuple(i for i in key if i in remaining) for key in sets) if idx]
+        eligible = [e for e in _grown_trees(ctx, tiles, fields, live) if e[0] > threshold]
         if not eligible:
             break
         # maximality judged on the grown hulls; ties leftmost then coarsest
         maximal = [
             e
             for e in eligible
-            if not any(other[2].contains(e[2]) and other[2] != e[2] for other in eligible)
+            if not any(other[1].contains(e[1]) and other[1] != e[1] for other in eligible)
         ]
-        maximal.sort(key=lambda e: (e[2].lo, e[2].k))
-        cand, idx, top, s = maximal[0]
-        forest.append(Tree(tiles=tuple(tiles[i] for i in sorted(idx)), top=top))
-        remaining -= idx
+        maximal.sort(key=lambda e: (e[1].lo, e[1].k))
+        _, top, idx = maximal[0]
+        forest.append(Tree(tiles=tuple(tiles[i] for i in idx), top=top))
+        remaining -= set(idx)
     residual = [tiles[i] for i in sorted(remaining)]
     return forest, residual
 

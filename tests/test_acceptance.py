@@ -8,28 +8,19 @@ import time
 
 import numpy as np
 
-from curvelab.cli import _known_order_poly, _make_pair, levelset_resolution
+from curvelab.cli import SUBCOMMANDS, _known_order_poly, _make_pair, levelset_resolution
 from curvelab.operators import apply_Tj, restricted_Tj_alpha
 from curvelab.oscillatory import (
     SmoothFn,
     inverse_derivatives,
-    oscillatory_integral,
     perturbation_pair_check,
     sublevel_check,
 )
 from curvelab.polynomials import Polynomial, fit_decay_exponent, level_set_measure, real_roots_with_orders
 from curvelab.scales import classify_scales, verify_cardinality_bound
 from curvelab.sharpness import endpoint_scaling_experiment, predicted_endpoint_exponent, rootorder_scaling_experiment
-from curvelab.signals import GridFunction, maximal_p, rho
-from curvelab.tiling import (
-    build_tiles,
-    greedy_tree_selection,
-    random_open_set,
-    set_size,
-    whitney_decompose,
-    whitney_pair_properties,
-    whitney_properties,
-)
+from curvelab.signals import GridFunction
+from curvelab.tiling import random_open_set, whitney_decompose, whitney_pair_properties, whitney_properties
 
 
 def report(num, ok, detail):
@@ -172,20 +163,10 @@ def test_criterion_5_van_der_corput():
 
 
 def test_criterion_6_stationary_phase_normalization():
-    m = 14
-    worst = 0.0
-    for xi, eta in ((-2.0, 1.0), (-1.5, 1.0), (-2.6, 1.0)):
-        ph = SmoothFn(
-            fn=lambda t, xi=xi, eta=eta: -2 * math.pi * (t * xi + t**2 * eta),
-            domain=(0.5, 2.0),
-            derivs=(lambda t, xi=xi, eta=eta: -2 * math.pi * (xi + 2 * t * eta),),
-        )
-        total = oscillatory_integral(ph, SmoothFn(fn=rho, domain=(0.5, 2.0)), 2.0**m, (0.5, 2.0))
-        total += oscillatory_integral(ph, SmoothFn(fn=rho, domain=(-2.0, -0.5)), 2.0**m, (-2.0, -0.5))
-        t0 = -xi / (2 * eta)
-        target = float(rho(t0)) / math.sqrt(2.0 * abs(eta))
-        worst = max(worst, abs(abs(total) * 2.0 ** (m / 2) - target) / target)
-    ok = worst <= 0.02
+    run, _, defaults = SUBCOMMANDS["stationary"]
+    rep = run({**defaults, "m_list": [14], "rel_tol": 0.02}, np.random.default_rng(0))
+    worst = rep.fitted["max_rel_err_at_top_m"]
+    ok = rep.passed and len(rep.rows) == 3
     report(6, ok, f"normalized magnitude within {worst * 100:.2f}% of rho(t0)/sqrt(2|eta|) at m=14, 3 pairs")
 
 
@@ -261,44 +242,11 @@ def test_criterion_9_whitney_suite():
 
 def test_criterion_10_greedy_selection():
     start = time.perf_counter()
-    P = Polynomial.curve([0, 1.0, 2.0**-40])
-    part = classify_scales(P, 2, (-5, 4))
-    all_tiles = build_tiles(part, 2, 0, (0.0, 1.0))
-    n_grid, lo, hi = 4096, -0.5, 1.5
-    xs = np.linspace(lo, hi, n_grid)
-    rng = np.random.default_rng(10)
-    p = 2.0
-
-    failures = 0
-    for run in range(500):
-        which = 1 + (run % 2)
-        vals = np.zeros(n_grid)
-        for _ in range(int(rng.integers(1, 4))):
-            a, b = np.sort(rng.uniform(0, 1, 2))
-            vals += (xs >= a) & (xs <= b)
-        data = GridFunction(lo, hi, np.clip(vals, 0, 1))
-        k = int(rng.integers(6, len(all_tiles)))
-        idx = rng.choice(len(all_tiles), size=k, replace=False)
-        S = [all_tiles[i] for i in idx]
-        forest, residual = greedy_tree_selection(S, which, data, p, 2, 0)
-        size_S = set_size(S, which, data, p, 2, 0)
-        thr = 0.5 ** (1.0 / p) * size_S
-        if set_size(residual, which, data, p, 2, 0) > thr * (1 + 1e-9):
-            failures += 1
-            continue
-        tops = [t.top for t in forest]
-        if any(not tops[i].disjoint(tops[j]) for i in range(len(tops)) for j in range(i + 1, len(tops))):
-            failures += 1
-            continue
-        if forest and size_S > 0:
-            Mp = maximal_p(data, p)
-            for t in forest:
-                mask = (Mp.x >= t.top.lo - 1e-12) & (Mp.x <= t.top.hi + 1e-12)
-                if float(np.min(Mp.values[mask])) < thr:
-                    failures += 1
-                    break
+    run, _, defaults = SUBCOMMANDS["tiles"]
+    rep = run({**defaults, "runs": 500}, np.random.default_rng(10))
+    failures = sum(not row["pass"] for row in rep.rows)
     elapsed = time.perf_counter() - start
-    ok = failures == 0
+    ok = rep.passed and len(rep.rows) == 500
     report(10, ok, f"500 randomized tile sets: {failures} postcondition failures (halving/disjoint tops/containment), {elapsed:.0f}s")
 
 

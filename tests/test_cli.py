@@ -150,6 +150,8 @@ BAD_VALUES = {
     "apply-T --set nodes=0": "nodes_per_component",
     'stationary --set pairs=[["a","b"]]': "'pairs'",
     "multiplier --set m_list=[1000]": "'m_list', 'xi_band', 'eta_band', 'j' and 'coeffs' set the phase scale; at m=1000: node budget exceeded: needs about 2.68e+301 nodes",
+    "multiplier --set m_list=[1022]": "'m_list'",
+    "multiplier --set m_list=[1023]": "'m_list'",
 }
 
 

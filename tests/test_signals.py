@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +6,6 @@ from hypothesis import strategies as st
 from curvelab.signals import (
     GridFunction,
     _trapezoid_weights,
-    convolve,
     hl_maximal,
     littlewood_paley_piece,
     lp_norm,
@@ -234,27 +231,3 @@ class TestHLMaximal:
             for lam in (0.1, 0.25, 0.5):
                 measure = np.sum(M.values > lam) * f.step
                 assert measure <= 4.0 * meas_f / lam * (1 + 1e-6)
-
-
-class TestConvolve:
-    def test_mollifier_identity(self):
-        f = GridFunction.sample(lambda x: np.exp(-(x**2)), -4, 4, 1025)
-        w = 0.02
-        kernel = lambda t: np.where(np.abs(t) <= w, (1 - np.abs(t) / w) / w, 0.0)
-        out = convolve(f, kernel, (-w, w))
-        interior = slice(50, -50)
-        assert np.max(np.abs(out.values[interior] - f.values[interior])) < 5 * w**2
-
-    def test_constant_mass(self):
-        f = GridFunction(0, 10, np.ones(1001))
-        out = convolve(f, lambda t: np.full_like(np.asarray(t, dtype=float), 3.0), (-0.25, 0.25))
-        mid = slice(200, 800)
-        np.testing.assert_allclose(out.values[mid], 1.5, rtol=1e-12)
-
-    def test_translation_commutes(self):
-        f = GridFunction.sample(lambda x: np.cos(x) * np.exp(-(x**2)), -6, 6, 1201)
-        h = 10 * f.step
-        kernel = lambda t: np.exp(-50 * t**2)
-        lhs = convolve(f.translate(h), kernel, (-0.5, 0.5))
-        rhs = convolve(f, kernel, (-0.5, 0.5)).translate(h)
-        np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-10)

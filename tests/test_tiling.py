@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from curvelab.polynomials import Polynomial
 from curvelab.scales import classify_scales
-from curvelab.signals import GridFunction, lp_norm, maximal_p
+from curvelab.signals import GridFunction, littlewood_paley_piece, lp_norm, maximal_p, multiplier_piece, phi_hat
 from curvelab.tiling import (
     DyadicInterval,
-    ExceptionalWeights,
-    Tile,
     Tree,
     _candidate_tops,
+    _tail_weight,
     build_tiles,
-    exceptional_set,
     forest_to_json,
     greedy_tree_selection,
     set_size,
@@ -50,37 +48,6 @@ class TestDyadicInterval:
         c0, c1 = a.children()
         assert a.contains(c0) and a.contains(c1)
         assert c0.disjoint(c1)
-
-
-def grid_indicator(a, b, lo=-4.0, hi=4.0, n=2049):
-    return GridFunction.indicator(a, b, lo, hi, n)
-
-
-class TestExceptionalSet:
-    def test_large_constant_empty(self):
-        F = grid_indicator(0, 1)
-        assert exceptional_set(F, F, F, 10.0) == []
-
-    def test_small_constant_covers_support(self):
-        F = grid_indicator(0, 1)
-        omega = exceptional_set(F, F, F, 0.5)
-        assert len(omega) >= 1
-        lo = min(a for a, _ in omega)
-        hi = max(b for _, b in omega)
-        assert lo <= 0.0 and hi >= 1.0
-
-    def test_measure_below_half_f3(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            a1, b1 = np.sort(rng.uniform(-3, 3, 2))
-            a2, b2 = np.sort(rng.uniform(-3, 3, 2))
-            a3, b3 = np.sort(rng.uniform(-3, 3, 2))
-            if min(b1 - a1, b2 - a2, b3 - a3) < 0.05:
-                continue
-            F1, F2, F3 = grid_indicator(a1, b1), grid_indicator(a2, b2), grid_indicator(a3, b3)
-            omega = exceptional_set(F1, F2, F3, 8.0)
-            measure = sum(b - a for a, b in omega)
-            assert measure < lp_norm(F3, 1.0) / 2.0
 
 
 class TestWhitney:
@@ -243,17 +210,6 @@ class TestTreeSize:
                 worst = max(worst, size2 / inf_mp)
         assert worst <= 1.0  # empirical comparison constant, recorded
 
-    def test_single_summand_flag(self):
-        rng = np.random.default_rng(8)
-        part = tile_partition(3)
-        tiles = build_tiles(part, 2, 0, (0.0, 1.0))[:4]
-        tr = Tree(tiles=tuple(tiles), top=tree_top(tiles))
-        data = make_data(rng)
-        three = tree_size(tr, 1, data, 2.0, 2, 0)
-        one = tree_size(tr, 1, data, 2.0, 2, 0, single_summand=True)
-        assert one <= three
-        assert one > 0
-
     def test_set_size_matches_brute_force(self):
         # one shared context must not change a bit of any candidate's size;
         # seed 14 includes a set whose size summed in reverse tile order differs
@@ -265,6 +221,34 @@ class TestTreeSize:
             data = make_data(rng)
             assert set_size(S, which, data, 2.0, 2, 0) == brute_force_set_size(S, which, data, 2.0)
         assert set_size([], 1, data, 2.0, 2, 0) == 0.0
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_matches_size_formula(self, which):
+        # the paper's size built from the library's one-piece primitives:
+        # pieces Phi_k f (and, for which=1, the derivative-weighted piece) at
+        # k = j_l + j + m (which=1) or j_l + l j + m (which=2), each tile's
+        # piece weighted by its 1** tail, squared and summed over the tree
+        rng = np.random.default_rng(20 + which)
+        p, l, m = 2.5, 2, 1
+        tiles = build_tiles(tile_partition(3), l, m, (0.0, 1.0))
+        sub = [tiles[i] for i in sorted(rng.choice(len(tiles), size=7, replace=False))]
+        top = tree_top(sub)
+        data = make_data(rng)
+        squares = None
+        for t in sub:
+            j_l = t.interval.k - t.j
+            k = j_l + t.j + m if which == 1 else j_l + l * t.j + m
+            pieces = [littlewood_paley_piece(data, k).values]
+            if which == 1:
+                pieces.append(multiplier_piece(data, lambda xi: 2j * math.pi * (xi / 2.0**k) * phi_hat(xi / 2.0**k)).values)
+            w = _tail_weight(t.interval, k, data.x)
+            rows = np.array([np.abs(w * piece) ** 2 for piece in pieces])
+            squares = rows if squares is None else squares + rows
+        norms = [lp_norm(data.with_values(np.sqrt(row)), p) for row in squares]
+        expected = sum(norms) * top.length ** (-1.0 / p)
+        got = tree_size(Tree(tiles=tuple(sub), top=top), which, data, p, l, m)
+        assert expected > 0
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_empty_tree_rejected(self):
         with pytest.raises(ValueError):
@@ -336,36 +320,3 @@ class TestGreedySelection:
             assert set(tr["top"]) == {"k", "n"}
             for tile in tr["tiles"]:
                 assert set(tile) == {"j", "n"}
-
-
-class TestExceptionalWeights:
-    def test_psi_range_and_localization(self):
-        omega = [(0.0, 1.0)]
-        w = ExceptionalWeights(omega)
-        xs = np.linspace(-2, 3, 1001)
-        k = 6
-        psi = w.psi(k, xs)
-        assert np.all(psi <= 1.0 + 1e-6)
-        far = np.abs(xs - 0.5) > 1.0
-        assert np.all(psi[far] > 0.9)
-        deep = np.abs(xs - 0.5) < 0.3
-        assert np.all(psi[deep] < 0.1)
-
-    def test_dpsi_matches_fd(self):
-        omega = [(0.0, 1.0), (1.5, 1.8)]
-        w = ExceptionalWeights(omega)
-        xs = np.linspace(-0.5, 2.2, 401)
-        k = 5
-        h = 1e-6
-        fd = (w.psi(k, xs + h) - w.psi(k, xs - h)) / (2 * h)
-        np.testing.assert_allclose(w.dpsi(k, xs), fd, atol=1e-4 * 2.0**k)
-
-    def test_weighted_size_runs(self):
-        rng = np.random.default_rng(7)
-        part = tile_partition(3)
-        tiles = build_tiles(part, 2, 0, (0.0, 1.0))[:5]
-        tr = Tree(tiles=tuple(tiles), top=tree_top(tiles))
-        data = make_data(rng)
-        w = ExceptionalWeights([(0.2, 0.4)])
-        weighted = tree_size(tr, 1, data, 2.0, 2, 0, psi_weights=w)
-        assert weighted >= 0.0
