@@ -1,6 +1,9 @@
 """Tabular experiment records with CSV/JSON serialization.
 
-Floats print with 17 significant digits so CSV round-trips float64 exactly.
+The rows go to the CSV only, where floats print with 17 significant digits
+so they round-trip float64 exactly.  The JSON holds what the CSV cannot: the
+fitted values, the verdict, the flags, the runtime and the config echo used
+for replay.
 """
 
 from __future__ import annotations
@@ -38,16 +41,16 @@ class ExperimentReport:
         return list(self.rows[0].keys()) if self.rows else []
 
     def to_csv(self, path) -> None:
+        columns = self.columns
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(self.columns)
+            w.writerow(columns)
             for row in self.rows:
-                w.writerow([format_value(row.get(c)) for c in self.columns])
+                w.writerow([format_value(row.get(c)) for c in columns])
 
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
-            "rows": self.rows,
             "fitted": self.fitted,
             "passed": self.passed,
             "flags": self.flags,

@@ -220,22 +220,28 @@ def littlewood_paley_piece(f: GridFunction, k: float) -> GridFunction:
 
 
 def _one_sided_max_avg(x: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """max over a < i of (S[i]-S[a])/(x[i]-x[a]), via the lower hull of (x, S)."""
-    n = len(x)
-    out = np.zeros(n)
+    """max over a < i of (S[i]-S[a])/(x[i]-x[a]), via the lower hull of (x, S).
+
+    The scan runs on Python floats, whose arithmetic is float64's, so the
+    result is bit-identical to the same loop on numpy scalars.
+    """
+    xs, Ss = x.tolist(), S.tolist()
+    out = [0.0] * len(xs)
     hull: list = [0]
-    for i in range(1, n):
+    for i in range(1, len(xs)):
+        xi, si = xs[i], Ss[i]
         # pop vertices on or above the chord to i; the last one left is where
         # the lower tangent from i touches the hull, so its slope to i is the max
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
-            if (S[b] - S[a]) * (x[i] - x[b]) >= (S[i] - S[b]) * (x[b] - x[a]):
+            if (Ss[b] - Ss[a]) * (xi - xs[b]) >= (si - Ss[b]) * (xs[b] - xs[a]):
                 hull.pop()
             else:
                 break
-        out[i] = (S[i] - S[hull[-1]]) / (x[i] - x[hull[-1]])
+        h = hull[-1]
+        out[i] = (si - Ss[h]) / (xi - xs[h])
         hull.append(i)
-    return out
+    return np.array(out)
 
 
 def hl_maximal(f: GridFunction) -> GridFunction:

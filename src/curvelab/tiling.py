@@ -400,11 +400,10 @@ def _member_sets(tiles: Sequence[Tile]) -> list:
     return list(sets)
 
 
-def _grown_trees(ctx: _SizeContext, tiles, fields, sets):
-    """(size, hull top, idx) of the tree holding the tiles idx, per set."""
-    for idx in sets:
-        top = tree_top([tiles[i] for i in idx])
-        yield ctx.size(fields, idx, top), top, idx
+def _grown_tree(ctx: _SizeContext, tiles, fields, idx):
+    """(size, hull top) of the tree holding the tiles idx."""
+    top = tree_top([tiles[i] for i in idx])
+    return ctx.size(fields, idx, top), top
 
 
 def set_size(
@@ -427,7 +426,7 @@ def set_size(
     if not tiles:
         return 0.0
     fields = [ctx.tile_squared_fields(t) for t in tiles]
-    return max([0.0, *(s for s, _, _ in _grown_trees(ctx, tiles, fields, _member_sets(tiles)))])
+    return max([0.0, *(_grown_tree(ctx, tiles, fields, idx)[0] for idx in _member_sets(tiles))])
 
 
 def greedy_tree_selection(
@@ -453,14 +452,20 @@ def greedy_tree_selection(
         return [], []
     fields = [ctx.tile_squared_fields(t) for t in tiles]
     sets = _member_sets(tiles)
-    size_S = max([0.0, *(s for s, _, _ in _grown_trees(ctx, tiles, fields, sets))])
+    # (size, hull top) per member tuple, kept across rounds: a set that no
+    # extracted tree touched is not summed again
+    grown = {idx: _grown_tree(ctx, tiles, fields, idx) for idx in sets}
+    size_S = max([0.0, *(s for s, _ in grown.values())])
     threshold = 0.5 ** (1.0 / p) * size_S
 
     remaining = set(range(len(tiles)))
     forest = []
     while remaining:
         live = [idx for idx in (tuple(i for i in key if i in remaining) for key in sets) if idx]
-        eligible = [e for e in _grown_trees(ctx, tiles, fields, live) if e[0] > threshold]
+        for idx in live:
+            if idx not in grown:
+                grown[idx] = _grown_tree(ctx, tiles, fields, idx)
+        eligible = [(*grown[idx], idx) for idx in live if grown[idx][0] > threshold]
         if not eligible:
             break
         # maximality judged on the grown hulls; ties leftmost then coarsest

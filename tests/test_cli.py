@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from curvelab.cli import SUBCOMMANDS, main
@@ -10,6 +11,18 @@ from curvelab.cli import SUBCOMMANDS, main
 
 def run_cli(args):
     return main(args)
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def report_rows(out, name):
+    """The rows of the report SUBCOMMANDS[name] returns for the config and
+    seed that the CLI echoed to <out>/<name>.json."""
+    cfg = json.loads((out / f"{name}.json").read_text())["config"]
+    return SUBCOMMANDS[name][0](cfg, np.random.default_rng(int(cfg["seed"]))).rows
 
 
 # SHA-256 of every subcommand's CSV at its default config.  A refactor of the
@@ -34,14 +47,19 @@ GOLDEN_CSV_SHA256 = {
 
 
 @pytest.fixture(scope="module")
-def default_csvs(tmp_path_factory):
-    """Each subcommand's CSV bytes at its default config, run once per module."""
+def default_out(tmp_path_factory):
+    """A directory with each subcommand's CSV and JSON at its default config,
+    run once per module."""
     out = tmp_path_factory.mktemp("defaults")
-    csvs = {}
     for name in sorted(SUBCOMMANDS):
         assert main([name, "--out", str(out)]) == 0, name
-        csvs[name] = (out / f"{name}.csv").read_bytes()
-    return csvs
+    return out
+
+
+@pytest.fixture(scope="module")
+def default_csvs(default_out):
+    """Each subcommand's CSV bytes at its default config."""
+    return {name: (default_out / f"{name}.csv").read_bytes() for name in SUBCOMMANDS}
 
 
 class TestGoldenDefaults:
@@ -59,6 +77,19 @@ class TestGoldenDefaults:
         assert header == capsys.readouterr().out.strip()
 
 
+class TestJsonContract:
+    """The rows live in the CSV only; the JSON's config echo replays it."""
+
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    def test_no_rows_and_config_replays_csv(self, default_out, default_csvs, tmp_path, name):
+        doc = json.loads((default_out / f"{name}.json").read_text())
+        assert set(doc) == {"name", "fitted", "passed", "flags", "runtime_s", "config"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc["config"]))
+        assert main([name, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / f"{name}.csv").read_bytes() == default_csvs[name]
+
+
 class TestClassify:
     def test_runs_and_passes(self, tmp_path, capsys):
         code = run_cli(["classify", "--out", str(tmp_path), "--set", "coeffs=[0,0,1,1]", "--set", "N=10", "--set", "j_range=[-100,100]"])
@@ -66,16 +97,14 @@ class TestClassify:
         doc = json.loads((tmp_path / "classify.json").read_text())
         assert doc["fitted"]["count_good"] == 33
         assert doc["fitted"]["bound"] == 217
-        classes = {row["class"] for row in doc["rows"]}
+        classes = {row["class"] for row in read_csv(tmp_path / "classify.csv")}
         assert classes <= {"good", "l=2", "l=3"}
 
     def test_csv_matches_json(self, tmp_path):
         run_cli(["classify", "--out", str(tmp_path)])
-        doc = json.loads((tmp_path / "classify.json").read_text())
-        with open(tmp_path / "classify.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == len(doc["rows"])
-        for got, want in zip(rows, doc["rows"]):
+        rows, wanted = read_csv(tmp_path / "classify.csv"), report_rows(tmp_path, "classify")
+        assert len(rows) == len(wanted)
+        for got, want in zip(rows, wanted):
             assert int(got["j"]) == want["j"]
             assert got["class"] == want["class"]
 
@@ -113,13 +142,12 @@ class TestReplayDeterminism:
 
     def test_csv_round_trips_through_json(self, tmp_path):
         assert run_cli(["vdc", "--out", str(tmp_path)]) == 0
-        doc = json.loads((tmp_path / "vdc.json").read_text())
-        with open(tmp_path / "vdc.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        for got, want in zip(rows, doc["rows"]):
+        rows, wanted = read_csv(tmp_path / "vdc.csv"), report_rows(tmp_path, "vdc")
+        assert len(rows) == len(wanted)
+        for got, want in zip(rows, wanted):
             for key, val in want.items():
                 if isinstance(val, float):
-                    assert float(got[key]) == pytest.approx(val, rel=1e-15, abs=0)
+                    assert float(got[key]) == val
 
 
 # each bad value and a fragment of its one error line: the field it names,
@@ -251,9 +279,9 @@ class TestSmallRuns:
         # the 2^(-m/2) normalization far past the default ladder, in seconds
         code = run_cli(["stationary", "--out", str(tmp_path), "--set", "m_list=[16,18,20]"])
         assert code == 0
-        rows = json.loads((tmp_path / "stationary.json").read_text())["rows"]
+        rows = read_csv(tmp_path / "stationary.csv")
         assert len(rows) == 9
-        assert all(r["rel_err"] <= 1e-6 for r in rows)
+        assert all(float(r["rel_err"]) <= 1e-6 for r in rows)
 
     def test_inverse_small(self, tmp_path):
         code = run_cli(["inverse", "--out", str(tmp_path), "--set", "count=3"])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvelab.signals import (
     GridFunction,
+    _one_sided_max_avg,
     _trapezoid_weights,
     hl_maximal,
     littlewood_paley_piece,
@@ -164,6 +165,58 @@ def brute_force_maximal(f: GridFunction) -> np.ndarray:
                     best = max(best, (S[hi] - S[lo]) / (x[hi] - x[lo]))
         out[i] = best
     return out
+
+
+def numpy_scalar_hull(x: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The hull scan indexing numpy arrays one scalar at a time: the oracle
+    that _one_sided_max_avg's loop on Python floats must match bit for bit."""
+    n = len(x)
+    out = np.zeros(n)
+    hull: list = [0]
+    for i in range(1, n):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (S[b] - S[a]) * (x[i] - x[b]) >= (S[i] - S[b]) * (x[b] - x[a]):
+                hull.pop()
+            else:
+                break
+        out[i] = (S[i] - S[hull[-1]]) / (x[i] - x[hull[-1]])
+        hull.append(i)
+    return out
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+# runs of a value, drawn mostly from a few integers and 0 so that hull
+# points tie and whole stretches are flat, repeated to the drawn length
+_runs = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(min_value=0, max_value=3, allow_nan=False)),
+        st.integers(min_value=1, max_value=1500),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+class TestHullScanBitIdentity:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        _runs,
+        st.one_of(st.sampled_from([2, 3, 4096, 4097, 5000]), st.integers(min_value=2, max_value=64)),
+        st.sampled_from([(0.0, 1.0), (-0.5, 1.5), (-8.0, 8.0)]),
+    )
+    def test_matches_numpy_scalar_loop(self, runs, n, window):
+        vals = np.resize(np.repeat([v for v, _ in runs], [k for _, k in runs]), n)
+        f = GridFunction(*window, vals)
+        a, x = np.abs(f.values), f.x
+        S = np.concatenate([[0.0], np.cumsum(f.step * 0.5 * (a[1:] + a[:-1]))])
+        left = numpy_scalar_hull(x, S)
+        right = numpy_scalar_hull(-x[::-1], -S[::-1])[::-1]
+        assert np.array_equal(bits(_one_sided_max_avg(x, S)), bits(left))
+        assert np.array_equal(bits(_one_sided_max_avg(-x[::-1], -S[::-1])[::-1]), bits(right))
+        assert np.array_equal(bits(hl_maximal(f).values), bits(np.maximum(a, np.maximum(left, right))))
 
 
 class TestHLMaximal:
