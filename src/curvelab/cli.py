@@ -495,14 +495,24 @@ def run_tiles(cfg, rng):
 def run_apply_T(cfg, rng):
     P = Polynomial(cfg["coeffs"])
     f, g = _build_grid_function(cfg, "f"), _build_grid_function(cfg, "g")
-    res = apply_Tj(f, g, P, int(cfg["j"]), nodes_per_component=int(cfg["nodes"]))
+    j = int(cfg["j"])
+    try:
+        width = 1.5 * 2.0 ** (-j)
+    except OverflowError:
+        raise ValueError(f"config field 'j' puts the kernel scale 2^-j outside float range at j={j}") from None
+    # apply_Tj's resolution floor: the kernel must span at least 4 grid steps
+    if width < 4.0 * f.step:
+        raise ValueError(
+            f"config fields 'j' and 'grid' put the kernel width 1.5*2^-j = {width:.3g}"
+            f" below 4 grid steps ({4.0 * f.step:.3g}) at j={j}"
+        )
+    res = apply_Tj(f, g, P, j, nodes_per_component=int(cfg["nodes"]))
     rows = [{"x": float(x), "value": float(v)} for x, v in zip(res.output.x, res.output.values)]
     return ExperimentReport(
         name="apply-T",
         rows=rows,
         fitted={"sup_norm": float(np.max(np.abs(res.output.values)))},
         passed=True,
-        flags={"resolution_warning": res.resolution_warning},
     )
 
 

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
-from scipy.fft import dct as _dct
 
 from .polynomials import Polynomial, _eval_vec, bisect, truncate_term
 from .report import ExperimentReport
@@ -422,7 +421,10 @@ def _cheb_interpolant(F: SmoothFn, interval, degree: int):
     theta = (2 * np.arange(n) + 1) * np.pi / (2 * n)
     xs = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)
     vals = _eval_vec(F.fn, xs)
-    c = _dct(vals, type=2) / n
+    # DCT-II as a cosine matrix; angles reduced mod 2π in integers first, so
+    # cos never sees an argument beyond 2π and each entry keeps full accuracy
+    k = np.arange(n)
+    c = (2.0 / n) * (np.cos(np.pi * (np.outer(k, 2 * k + 1) % (4 * n)) / (2 * n)) @ vals)
     c[0] *= 0.5
     scale = max(float(np.max(np.abs(c))), 1e-300)
     if float(np.max(np.abs(c[-8:]))) > 1e-10 * max(scale, 1.0):

@@ -2,10 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import curvelab
 from curvelab.cli import SUBCOMMANDS, main
 
 
@@ -27,8 +32,8 @@ def report_rows(out, name):
 
 # SHA-256 of every subcommand's CSV at its default config.  A refactor of the
 # numerics must leave these bytes alone; a deliberate output change updates
-# the digest together with a note of why it moved.  Taken with Python 3.11.7,
-# numpy 2.4.6 and scipy 1.17.1 on x86-64; other builds may round differently.
+# the digest together with a note of why it moved.  Taken with Python 3.11.7
+# and numpy 2.4.6 on x86-64; other builds may round differently.
 GOLDEN_CSV_SHA256 = {
     "apply-M": "71351290e9845c5fd74942d427fc11dc7a07ef26b7bf31224e7d0129a1839305",
     "apply-T": "b287f240fd6344eb51f1edf62b72cce85480e07f8a6fc946bf332851beb18e2e",
@@ -176,6 +181,8 @@ BAD_VALUES = {
     "multiplier --set j=5000": "'j'",
     "multiplier --set j=-5000": "'j'",
     "apply-T --set nodes=0": "nodes_per_component",
+    "apply-T --set j=6": "'j' and 'grid'",
+    "apply-T --set j=-2000": "'j'",
     'stationary --set pairs=[["a","b"]]': "'pairs'",
     "multiplier --set m_list=[1000]": "'m_list', 'xi_band', 'eta_band', 'j' and 'coeffs' set the phase scale; at m=1000: node budget exceeded: needs about 2.68e+301 nodes",
     "multiplier --set m_list=[1022]": "'m_list'",
@@ -307,6 +314,10 @@ class TestSmallRuns:
         assert list(rows[0]) == ["x", "value"]
         assert len(rows) == 513
 
+    def test_apply_T_at_resolution_floor(self, tmp_path):
+        # j = 5 is the finest scale whose kernel spans 4 steps of the default grid
+        assert run_cli(["apply-T", "--out", str(tmp_path), "--set", "j=5"]) == 0
+
     def test_apply_M(self, tmp_path):
         code = run_cli(["apply-M", "--out", str(tmp_path), "--set", "grid=[-6.0,6.0,257]"])
         assert code == 0
@@ -324,3 +335,29 @@ class TestSmallRuns:
         assert code == 0
         doc = json.loads((tmp_path / "rootorder.json").read_text())
         assert doc["fitted"]["slope"] == pytest.approx(0.5, abs=0.05)
+
+
+class TestImportGraph:
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        """The library and the CLI need numpy alone: with scipy made
+        unimportable, a Chebyshev D_K norm and a CLI run still work."""
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+            import numpy as np
+            import curvelab
+            import curvelab.cli
+            from curvelab.oscillatory import SmoothFn, dk_norm
+            assert abs(dk_norm(SmoothFn(fn=np.sin, domain=(0.5, 2.0)), 6) - 1.0) < 1e-8
+            assert curvelab.cli.main(["vdc", "--out", sys.argv[1]]) == 0
+            loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None]
+            assert not loaded, loaded
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(curvelab.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "vdc.csv").exists()

@@ -387,6 +387,37 @@ class TestDkNorm:
             dk_norm(F, 2)
 
 
+def mp_dct2(vals):
+    """c_k = (2/n) sum_i vals[i] cos(pi k (2i+1) / 2n), with c_0 halved: the
+    Chebyshev coefficients of the interpolant through the values at the n
+    Chebyshev points, summed at 32 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    n = len(vals)
+    with mpmath.workdps(32):
+        cosines = [mpmath.cos(mpmath.pi * r / (2 * n)) for r in range(4 * n)]
+        v = [mpmath.mpf(float(x)) for x in vals]
+        c = [2 * mpmath.fsum(v[i] * cosines[k * (2 * i + 1) % (4 * n)] for i in range(n)) / n for k in range(n)]
+        c[0] /= 2
+        return np.array([float(x) for x in c])
+
+
+class TestChebInterpolant:
+    @pytest.mark.parametrize("degree", [64, 256])
+    @pytest.mark.parametrize("fn", [lambda t: np.sin(12 * t), lambda t: np.exp(4 * t)], ids=["sin12t", "exp4t"])
+    def test_kept_coefficients_vs_mpmath_dct(self, fn, degree):
+        seen = []
+
+        def recording(t):
+            seen.append(fn(t))
+            return seen[-1]
+
+        series = osc._cheb_interpolant(SmoothFn(fn=recording, domain=(0.5, 2.0)), (0.5, 2.0), degree)
+        ref = mp_dct2(seen[0])
+        kept = series.coef
+        assert len(kept) >= 16  # enough of the series to test more than the leading terms
+        assert np.max(np.abs(kept - ref[: len(kept)])) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestInverseFunction:
     def test_square(self):
         F = smooth_poly([0, 0, 1], (0.5, 2.0))

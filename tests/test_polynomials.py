@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from curvelab.polynomials import (
@@ -258,6 +258,29 @@ class TestLevelSet:
     def test_resolution_validated(self):
         with pytest.raises(ValueError):
             level_set_measure(lambda t: t, 0.1, (0, 1), resolution=100)
+
+    @given(
+        st.lists(st.floats(min_value=-2, max_value=2, allow_nan=False), min_size=2, max_size=5),
+        st.floats(min_value=0.02, max_value=0.98),
+    )
+    def test_quartics_vs_dense_sampler(self, coeffs, q):
+        g = Polynomial(coeffs).eval
+        lo, hi, resolution = -1.0, 1.0, 1024
+        n = 1 << 20
+        w = (hi - lo) / n
+        dense = np.abs(g(lo + w * (np.arange(n) + 0.5)))  # at cell midpoints
+        h = q * float(dense.max())  # below the maximum, so most draws cross h
+        assume(h > 0)
+        inside = dense < h
+        flips = np.nonzero(inside[1:] != inside[:-1])[0]
+        # level_set_measure misses a band or gap thinner than a sample cell
+        assume(np.all(np.diff(flips) >= 4 * n // resolution))
+        oracle = w * np.count_nonzero(inside)
+        # each crossing puts at most one cell of error in the oracle and one
+        # refinement width in level_set_measure; a crossing in either end's
+        # half-cell is seen by no midpoint, hence the two extra
+        bound = (flips.size + 2) * (w + (hi - lo) * 1e-9)
+        assert abs(level_set_measure(g, h, (lo, hi), resolution) - oracle) <= bound
 
 
 def make_known_order_poly(r: float, m: int, extra_root=None) -> Polynomial:
