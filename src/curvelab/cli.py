@@ -22,7 +22,7 @@ from .polynomials import Polynomial, fit_decay_exponent, level_set_measure, real
 from .report import ExperimentReport
 from .scales import classify_scales, partition_to_json, verify_cardinality_bound
 from .signals import GridFunction, maximal_p, rho
-from .operators import apply_M, apply_Tj, multiplier_Mmn
+from .operators import apply_M, apply_Tj, below_resolution_floor, multiplier_Mmn
 from .oscillatory import (
     PhasePair,
     SmoothFn,
@@ -497,14 +497,13 @@ def run_apply_T(cfg, rng):
     f, g = _build_grid_function(cfg, "f"), _build_grid_function(cfg, "g")
     j = int(cfg["j"])
     try:
-        width = 1.5 * 2.0 ** (-j)
+        too_fine = below_resolution_floor(j, f.step)
     except OverflowError:
         raise ValueError(f"config field 'j' puts the kernel scale 2^-j outside float range at j={j}") from None
-    # apply_Tj's resolution floor: the kernel must span at least 4 grid steps
-    if width < 4.0 * f.step:
+    if too_fine:
         raise ValueError(
-            f"config fields 'j' and 'grid' put the kernel width 1.5*2^-j = {width:.3g}"
-            f" below 4 grid steps ({4.0 * f.step:.3g}) at j={j}"
+            f"config fields 'j' and 'grid' put the kernel width 1.5*2^-j below 4 grid steps"
+            f" of {f.step:.3g} at j={j}"
         )
     res = apply_Tj(f, g, P, j, nodes_per_component=int(cfg["nodes"]))
     rows = [{"x": float(x), "value": float(v)} for x, v in zip(res.output.x, res.output.values)]

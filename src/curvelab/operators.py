@@ -43,6 +43,12 @@ class OperatorResult:
     extras: dict = field(default_factory=dict)
 
 
+def below_resolution_floor(j: int, step: float) -> bool:
+    """True when T_j's kernel width 1.5*2^-j spans fewer than 4 grid steps;
+    raises OverflowError when 2^-j is beyond float range."""
+    return 1.5 * 2.0 ** (-j) < 4.0 * step
+
+
 def _shifted_products(f, g, x, a, b, out):
     """out[r] = f(x - a[r]) * g(x - b[r]) for every row r.
 
@@ -87,7 +93,7 @@ def apply_Tj(
         raise ValueError(f"nodes_per_component must be at least 1, got {nodes_per_component}")
     P.require_no_linear_term()
     scale = 2.0 ** (-j)
-    warn = 1.5 * scale < 4.0 * f.step
+    warn = below_resolution_floor(j, f.step)
     x = f.x
     nodes_per_unit = nodes_per_component / 1.5
     vals = _bilinear_sum(f, g, P, scale, x, _COMPONENTS, nodes_per_unit)
