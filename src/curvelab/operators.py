@@ -9,7 +9,10 @@ f(x - 2^-j s) g(x - P(2^-j s)) rho(s) ds over the fixed annulus
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,7 +34,33 @@ __all__ = [
 ]
 
 _COMPONENTS = ((0.5, 2.0), (-2.0, -0.5))
-_CHUNK = 1 << 16  # elements per row chunk in _shifted_products: np.interp stays in cache
+_CHUNK = 1 << 16  # elements in flight in _shifted_products: np.interp stays in cache
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask, or all CPUs where it cannot be read."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_WORKERS = _usable_cpus()  # threads that fill the shifted products, the caller included
+
+
+@functools.cache
+def _helper_pool(helpers: int):
+    """A pool of helper threads for _shifted_products, started on first use
+    and kept for the life of the process; concurrent.futures is imported
+    only then.  A forked child inherits none of the threads, so it drops the
+    cached pool and makes a new one."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(helpers, thread_name_prefix="curvelab-fill")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helper_pool.cache_clear)
 
 
 @dataclass
@@ -52,23 +81,47 @@ def below_resolution_floor(j: int, step: float) -> bool:
 def _shifted_products(f, g, x, a, b, out):
     """out[r] = f(x - a[r]) * g(x - b[r]) for every row r.
 
-    Rows are filled in chunks of about _CHUNK elements, so the arguments,
-    f, g and their product stay cache-sized; every element is computed as
-    the one-shot broadcast f(x[None, :] - a[:, None]) * g(...) computes it.
+    The calling thread and _WORKERS - 1 helper threads take row chunks in
+    turn until none is left; np.interp releases the GIL, so the chunks fill
+    on every usable CPU.  A chunk holds about _CHUNK / _WORKERS elements, so
+    the arguments, f, g and their product stay cache-sized and the chunks in
+    flight together hold what one serial chunk of _CHUNK would.  Each chunk
+    writes only its own rows, and every element is computed as the one-shot
+    broadcast f(x[None, :] - a[:, None]) * g(...) computes it, so the bits
+    do not depend on the number of threads.  f and g are called from the
+    helpers and must be thread-safe, as GridFunction is.
     """
-    step = max(1, _CHUNK // x.size)
-    for s in range(0, a.size, step):
-        e = min(s + step, a.size)
-        np.multiply(f(x[None, :] - a[s:e, None]), g(x[None, :] - b[s:e, None]), out=out[s:e])
+    workers = _WORKERS
+    step = max(1, _CHUNK // (x.size * workers))
+    starts = iter(range(0, a.size, step))
+    lock = threading.Lock()
+
+    def fill():
+        while True:
+            with lock:
+                s = next(starts, None)
+            if s is None:
+                return
+            e = min(s + step, a.size)
+            np.multiply(f(x[None, :] - a[s:e, None]), g(x[None, :] - b[s:e, None]), out=out[s:e])
+
+    helpers = [_helper_pool(workers - 1).submit(fill) for _ in range(workers - 1)]
+    try:
+        fill()
+    finally:
+        for h in helpers:
+            h.exception()  # waits, so no helper writes into out after we return
+    for h in helpers:
+        h.result()
     return out
 
 
 def _bilinear_sum(f, g, P, scale, x, subintervals, nodes_per_unit):
     """sum over subintervals of int f(x - scale*s) g(x - P(scale*s)) rho(s) ds."""
-    out = np.zeros(x.size)
     block = max(8, (1 << 22) // max(1, x.size))
     # pages are touched only as rows are used
     buf = np.empty((block, x.size), dtype=complex if f.is_complex or g.is_complex else float)
+    out = np.zeros(x.size, dtype=buf.dtype)
     for a, b in subintervals:
         n = max(33, int(math.ceil((b - a) * nodes_per_unit)) + 1)
         ts, w = _quad_nodes(a, b, n)
@@ -115,7 +168,7 @@ def apply_H_truncated(
     """Sum of T_j over j_min <= j <= j_max, 512 nodes per component each."""
     if j_min > j_max:
         raise ValueError("need j_min <= j_max")
-    total = np.zeros(f.n)
+    total = np.zeros(f.n, dtype=complex if f.is_complex or g.is_complex else float)
     terms = {} if retain_terms else None
     warn = False
     for j in range(j_min, j_max + 1):

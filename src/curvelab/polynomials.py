@@ -160,9 +160,10 @@ def bisect(f: Callable, lo: float, hi: float, width: float = 0.0) -> float:
 def bands(inside: Callable, lo: float, hi: float, samples: int, width: float) -> list:
     """Maximal subintervals (a, b) of [lo, hi] on which inside holds.
 
-    inside maps an array of points to booleans.  It is sampled at samples + 1
-    equispaced points, and every flip between neighbours is refined by
-    bisection to width; a band thinner than one sample cell can be missed.
+    inside maps an array of points to booleans, and a float point to one
+    boolean.  It is sampled at samples + 1 equispaced points, and every flip
+    between neighbours is refined by bisection to width, one float point at
+    a time; a band thinner than one sample cell can be missed.
     """
     xs = np.linspace(lo, hi, samples + 1)
     mask = inside(xs)
@@ -300,7 +301,13 @@ def level_set_measure(g: Callable, h: float, domain, resolution: int = 4096) -> 
     if resolution < 1024:
         raise ValueError("resolution must be >= 1024")
     lo, hi = float(domain[0]), float(domain[1])
-    found = bands(lambda t: np.abs(_eval_vec(g, t)) < h, lo, hi, resolution, (hi - lo) * 1e-9)
+
+    def below(t):
+        if isinstance(t, float):  # a bisection step: the same test without numpy's array overhead
+            return abs(g(t)) < h
+        return np.abs(_eval_vec(g, t)) < h
+
+    found = bands(below, lo, hi, resolution, (hi - lo) * 1e-9)
     return sum((b - a for a, b in found), 0.0)
 
 

@@ -7,7 +7,7 @@ shift arguments by t and P(t), which routinely leaves the sampled window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -28,11 +28,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Uniform samples of a real or complex function on [lo, hi]."""
+    """Uniform samples of a real or complex function on [lo, hi].
+
+    values and the grid x = linspace(lo, hi, n) are read-only arrays; x is
+    built once, here, and every call reads it.
+    """
 
     lo: float
     hi: float
     values: np.ndarray
+    x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -45,6 +50,9 @@ class GridFunction:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+        x = np.linspace(self.lo, self.hi, v.size)
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
 
     @property
     def n(self) -> int:
@@ -53,10 +61,6 @@ class GridFunction:
     @property
     def step(self) -> float:
         return (self.hi - self.lo) / (self.n - 1)
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n)
 
     @property
     def is_complex(self) -> bool:

@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from curvelab import operators
 from curvelab.operators import (
     _CHUNK,
     _COMPONENTS,
@@ -109,6 +113,32 @@ class TestApplyTj:
         assert res.resolution_warning
 
 
+def bits(a):
+    """The raw bytes of a float or complex array as int64s, so -0.0 != 0.0."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def complex_gaussian():
+    return GridFunction.sample(lambda x: np.exp(1j * x - x**2), -8.0, 8.0, 2049)
+
+
+class TestComplexInput:
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_apply_Tj_is_linear_over_real_and_imaginary_parts(self, j):
+        f, g = complex_gaussian(), gaussian(0.3, 0.9)
+        T = apply_Tj(f, g, P_SQ, j).output.values
+        re = apply_Tj(f.with_values(f.values.real), g, P_SQ, j).output.values
+        im = apply_Tj(f.with_values(f.values.imag), g, P_SQ, j).output.values
+        assert T.dtype == complex
+        assert np.max(np.abs(T - (re + 1j * im))) <= 1e-13 * np.max(np.abs(T))
+
+    def test_apply_H_truncated_sums_complex_terms(self):
+        f, g = complex_gaussian(), gaussian(0.3, 0.9)
+        want = apply_Tj(f, g, P_SQ, 0).output.values + apply_Tj(f, g, P_SQ, 1).output.values
+        got = apply_H_truncated(f, g, P_SQ, 0, 1).output.values
+        assert np.array_equal(bits(got), bits(want))
+
+
 class TestApplyH:
     def test_single_scale_matches_Tj(self):
         f = gaussian(0.0, 1.0)
@@ -167,11 +197,6 @@ class TestApplyM:
         assert np.all(fine >= coarse - 1e-12)
 
 
-def bits(a):
-    """The raw bytes of a float or complex array as int64s, so -0.0 != 0.0."""
-    return np.ascontiguousarray(a).view(np.int64)
-
-
 class TestShiftedProducts:
     """The row-chunked products against the one-shot broadcast, bit for bit."""
 
@@ -226,6 +251,52 @@ class TestShiftedProducts:
             want = np.maximum(want, (w / (2 * eps)) @ np.abs(prod))
         got = apply_M(f, g, P_SQ, [0.25, 0.5, 1.0]).values
         assert np.array_equal(bits(got), bits(want))
+
+
+class TestFillThreads:
+    """_shifted_products fills on _WORKERS threads, the caller included."""
+
+    @staticmethod
+    def outputs():
+        out = []
+        for n in (2049, 8193):
+            f, g = gaussian(0.0, 1.0, n=n), gaussian(0.3, 0.9, n=n)
+            out += [apply_Tj(f, g, P_SQ, j).output.values for j in (0, 1)]
+        ind = GridFunction.indicator(0.0, 1.0, -8.0, 8.0, 2049)
+        out.append(apply_M(ind, gaussian(0.3, 0.9), P_SQ, [0.25, 0.5, 1.0]).values)
+        return out
+
+    # 1 runs the fill in the calling thread alone; 3 uses helpers on any host
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, workers):
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_WORKERS", workers)
+            forced = self.outputs()
+        for got, want in zip(self.outputs(), forced):
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_error_in_a_helper_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(operators, "_WORKERS", 2)
+        helper_called = threading.Event()
+
+        class FailsInHelper(GridFunction):
+            def __call__(self, x):
+                if threading.current_thread() is threading.main_thread():
+                    assert helper_called.wait(10)  # the helper takes a chunk first
+                    return super().__call__(x)
+                helper_called.set()
+                raise RuntimeError("fill failed")
+
+        f, g = gaussian(0.0, 1.0), gaussian(0.3, 0.9)
+        with pytest.raises(RuntimeError, match="fill failed"):
+            apply_Tj(FailsInHelper(f.lo, f.hi, f.values), g, P_SQ, 0)
+        # the pool survives the failed call
+        assert np.array_equal(bits(apply_Tj(f, g, P_SQ, 0).output.values), bits(self.outputs()[0]))
+
+    def test_cli_import_leaves_concurrent_futures_unloaded(self):
+        code = "import sys, curvelab.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.stdout.strip() == "False", proc.stderr
 
 
 class TestRestrictedAlpha:

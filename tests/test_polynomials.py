@@ -227,6 +227,12 @@ class TestBands:
 
 
 class TestLevelSet:
+    @given(coeff_lists(5), st.floats(min_value=0.01, max_value=2.0))
+    def test_scalar_steps_match_the_array_test_bit_for_bit(self, coeffs, h):
+        g = Polynomial(coeffs).eval
+        found = bands(lambda t: np.abs(g(t)) < h, -2.0, 2.0, 1024, 4.0 * 1e-9)
+        assert level_set_measure(g, h, (-2, 2), 1024) == sum((b - a for a, b in found), 0.0)
+
     def test_linear_band(self):
         m = level_set_measure(lambda t: 2 * t - 1, 0.1, (0, 1))
         assert m == pytest.approx(0.1, abs=1e-8)

@@ -55,6 +55,15 @@ class TestCutoffs:
         np.testing.assert_allclose(total, 1.0 / ts, rtol=1e-12)
 
 
+class TestGrid:
+    def test_x_is_the_linspace_built_once_and_read_only(self):
+        f = GridFunction(-3.0, 5.0, np.ones(1025))
+        assert f.x is f.x
+        assert np.array_equal(f.x.view(np.int64), np.linspace(-3.0, 5.0, 1025).view(np.int64))
+        with pytest.raises(ValueError):
+            f.x[0] = 0.0
+
+
 class TestLpNorm:
     def test_indicator(self):
         f = GridFunction.indicator(0, 1, -0.5, 1.5, 4001)
