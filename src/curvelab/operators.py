@@ -36,16 +36,12 @@ __all__ = [
 _COMPONENTS = ((0.5, 2.0), (-2.0, -0.5))
 _CHUNK = 1 << 16  # elements in flight in _shifted_products: np.interp stays in cache
 
-
-def _usable_cpus() -> int:
-    """CPUs in this process's affinity mask, or all CPUs where it cannot be read."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-_WORKERS = _usable_cpus()  # threads that fill the shifted products, the caller included
+# threads that fill the shifted products, the caller included: one per CPU
+# in this process's affinity mask, or per CPU where there is no such mask
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:
+    _WORKERS = os.cpu_count() or 1
 
 
 @functools.cache

@@ -31,7 +31,7 @@ class GridFunction:
     """Uniform samples of a real or complex function on [lo, hi].
 
     values and the grid x = linspace(lo, hi, n) are read-only arrays; x is
-    built once, here, and every call reads it.
+    built once, at construction, and every evaluation reads it.
     """
 
     lo: float

@@ -1,4 +1,6 @@
 import math
+import os
+import signal
 import subprocess
 import sys
 import threading
@@ -292,6 +294,18 @@ class TestFillThreads:
             apply_Tj(FailsInHelper(f.lo, f.hi, f.values), g, P_SQ, 0)
         # the pool survives the failed call
         assert np.array_equal(bits(apply_Tj(f, g, P_SQ, 0).output.values), bits(self.outputs()[0]))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_makes_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(operators, "_WORKERS", 2)
+        f, g = gaussian(0.0, 1.0), gaussian(0.3, 0.9)
+        want = apply_Tj(f, g, P_SQ, 0).output.values  # the pool's thread now exists
+        pid = os.fork()
+        if pid == 0:  # the child inherits no helper thread; a stale pool would hang
+            signal.alarm(30)
+            os._exit(0 if np.array_equal(bits(apply_Tj(f, g, P_SQ, 0).output.values), bits(want)) else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_cli_import_leaves_concurrent_futures_unloaded(self):
         code = "import sys, curvelab.cli; print('concurrent.futures' in sys.modules)"
