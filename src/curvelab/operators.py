@@ -37,7 +37,7 @@ _COMPONENTS = ((0.5, 2.0), (-2.0, -0.5))
 _CHUNK = 1 << 16  # elements in flight in _shifted_products: np.interp stays in cache
 
 # threads that fill the shifted products, the caller included: one per CPU
-# in this process's affinity mask, or per CPU where there is no such mask
+# in this process's affinity mask, or one per CPU where the platform has none
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:
