@@ -34,9 +34,10 @@ __all__ = [
 ]
 
 _COMPONENTS = ((0.5, 2.0), (-2.0, -0.5))
-_CHUNK = 1 << 16  # elements in flight in _shifted_products: np.interp stays in cache
+_CHUNK = 1 << 16  # elements in two tiles of _weighted_row_sum: np.interp stays in cache
+_WAVE = 16  # tiles whose partial rows are held at once
 
-# threads that fill the shifted products, the caller included: one per CPU
+# threads that fill the tiles, the caller included: one per CPU
 # in this process's affinity mask, or one per CPU where the platform has none
 try:
     _WORKERS = len(os.sched_getaffinity(0))
@@ -46,7 +47,7 @@ except AttributeError:
 
 @functools.cache
 def _helper_pool(helpers: int):
-    """A pool of helper threads for _shifted_products, started on first use
+    """A pool of helper threads for _on_fill_threads, started on first use
     and kept for the life of the process; concurrent.futures is imported
     only then.  A forked child inherits none of the threads, so it drops the
     cached pool and makes a new one."""
@@ -74,59 +75,80 @@ def below_resolution_floor(j: int, step: float) -> bool:
     return 1.5 * 2.0 ** (-j) < 4.0 * step
 
 
-def _shifted_products(f, g, x, a, b, out):
-    """out[r] = f(x - a[r]) * g(x - b[r]) for every row r.
+def _weighted_row_sum(f, g, x, a, b, w, absval=False):
+    """sum over r of w[r] * h(f(x - a[r]) * g(x - b[r])), h = abs if absval
+    else the identity.
 
-    The calling thread and _WORKERS - 1 helper threads take row chunks in
-    turn until none is left; np.interp releases the GIL, so the chunks fill
-    on every usable CPU.  A chunk holds about _CHUNK / _WORKERS elements, so
-    the arguments, f, g and their product stay cache-sized and the chunks in
-    flight together hold what one serial chunk of _CHUNK would.  Each chunk
-    writes only its own rows, and every element is computed as the one-shot
-    broadcast f(x[None, :] - a[:, None]) * g(...) computes it, so the bits
-    do not depend on the number of threads.  f and g are called from the
-    helpers and must be thread-safe, as GridFunction is.
+    The rows go in full-width tiles of max(1, _CHUNK // (2 * x.size)) rows,
+    so a tile, its arguments and its f and g values stay cache-sized.  The
+    thread that fills a tile scales its rows by w and adds them in row order
+    into the tile's own partial row.  The calling thread and _WORKERS - 1
+    helper threads take the tiles of a wave of _WAVE in turn; np.interp
+    releases the GIL, so the tiles fill on every usable CPU.  The caller then
+    adds the wave's partials in tile order before the next wave starts.  So
+    every element is summed in an order fixed by the sizes alone, and neither
+    the number of threads nor BLAS can move a bit.  A tile has at least two
+    columns (a GridFunction has at least two samples), where
+    np.add.reduce(axis=0) adds rows in order; on a single column it would
+    switch to pairwise summation.  f and g are called from the helpers and
+    must be thread-safe, as GridFunction is.
     """
-    workers = _WORKERS
-    step = max(1, _CHUNK // (x.size * workers))
-    starts = iter(range(0, a.size, step))
+    n = x.size
+    step = max(1, _CHUNK // (2 * n))
+    tiles = range(0, a.size, step)
+    dtype = complex if (f.is_complex or g.is_complex) and not absval else float
+    total = np.zeros(n, dtype=dtype)
+    partials = np.empty((min(_WAVE, len(tiles)), n), dtype=dtype)
+
+    def fill(i, s):
+        e = min(s + step, a.size)
+        prod = f(x[None, :] - a[s:e, None]) * g(x[None, :] - b[s:e, None])
+        if absval:
+            prod = np.abs(prod)
+        prod *= w[s:e, None]
+        np.add.reduce(prod, axis=0, out=partials[i])
+
+    for first in range(0, len(tiles), _WAVE):
+        wave = tiles[first : first + _WAVE]
+        _on_fill_threads(fill, wave)
+        for p in partials[: len(wave)]:
+            total += p
+    return total
+
+
+def _on_fill_threads(task, items):
+    """task(i, item) for each item, on the calling thread and up to
+    _WORKERS - 1 helper threads, each taking the next item until none is
+    left; returns once every thread is done, and re-raises a helper's error."""
+    order = iter(enumerate(items))
     lock = threading.Lock()
 
-    def fill():
+    def drain():
         while True:
             with lock:
-                s = next(starts, None)
-            if s is None:
+                nxt = next(order, None)
+            if nxt is None:
                 return
-            e = min(s + step, a.size)
-            np.multiply(f(x[None, :] - a[s:e, None]), g(x[None, :] - b[s:e, None]), out=out[s:e])
+            task(*nxt)
 
-    helpers = [_helper_pool(workers - 1).submit(fill) for _ in range(workers - 1)]
+    helpers = [_helper_pool(_WORKERS - 1).submit(drain) for _ in range(min(_WORKERS, len(items)) - 1)]
     try:
-        fill()
+        drain()
     finally:
         for h in helpers:
-            h.exception()  # waits, so no helper writes into out after we return
+            h.exception()  # waits, so no helper writes a partial after we return
     for h in helpers:
         h.result()
-    return out
 
 
 def _bilinear_sum(f, g, P, scale, x, subintervals, nodes_per_unit):
     """sum over subintervals of int f(x - scale*s) g(x - P(scale*s)) rho(s) ds."""
-    block = max(8, (1 << 22) // max(1, x.size))
-    # pages are touched only as rows are used
-    buf = np.empty((block, x.size), dtype=complex if f.is_complex or g.is_complex else float)
-    out = np.zeros(x.size, dtype=buf.dtype)
+    out = np.zeros(x.size, dtype=complex if f.is_complex or g.is_complex else float)
     for a, b in subintervals:
         n = max(33, int(math.ceil((b - a) * nodes_per_unit)) + 1)
         ts, w = _quad_nodes(a, b, n)
-        rw = rho(ts) * w
         shifted = scale * ts
-        curved = P.eval(shifted)
-        for s in range(0, n, block):
-            e = min(s + block, n)
-            out += rw[s:e] @ _shifted_products(f, g, x, shifted[s:e], curved[s:e], buf[: e - s])
+        out += _weighted_row_sum(f, g, x, shifted, P.eval(shifted), rho(ts) * w)
     return out
 
 
@@ -195,11 +217,9 @@ def apply_M(
         raise ValueError("epsilon grid must be nonempty, positive and sorted")
     x = f.x
     best = np.zeros(f.n)
-    buf = np.empty((513, f.n), dtype=complex if f.is_complex or g.is_complex else float)
     for eps in eps_arr:
         ts, w = _quad_nodes(-eps, eps, 513)
-        prod = _shifted_products(f, g, x, ts, P.eval(ts), buf)
-        avg = (w / (2 * eps)) @ np.abs(prod)
+        avg = _weighted_row_sum(f, g, x, ts, P.eval(ts), w / (2 * eps), absval=True)
         np.maximum(best, avg, out=best)
     return f.with_values(best)
 

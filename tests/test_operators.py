@@ -14,8 +14,9 @@ from curvelab import operators
 from curvelab.operators import (
     _CHUNK,
     _COMPONENTS,
+    _WAVE,
     _quad_nodes,
-    _shifted_products,
+    _weighted_row_sum,
     apply_H_truncated,
     apply_M,
     apply_Tj,
@@ -199,45 +200,82 @@ class TestApplyM:
         assert np.all(fine >= coarse - 1e-12)
 
 
-class TestShiftedProducts:
-    """The row-chunked products against the one-shot broadcast, bit for bit."""
+def tiled_row_sum(prod, w, absval):
+    """What _weighted_row_sum promises, in plain numpy over the one-shot
+    product: the rows of each tile weighted and added in row order, then the
+    tiles' partial rows added in tile order, one wave of _WAVE after another."""
+    rows, n = prod.shape
+    terms = (np.abs(prod) if absval else prod) * w[:, None]
+    step = max(1, _CHUNK // (2 * n))
+    partials = []
+    for s in range(0, rows, step):
+        acc = terms[s].copy()
+        for r in range(s + 1, min(s + step, rows)):
+            acc += terms[r]
+        partials.append(acc)
+    total = np.zeros(n, dtype=terms.dtype)
+    for first in range(0, len(partials), _WAVE):
+        for p in partials[first : first + _WAVE]:
+            total += p
+    return total
 
-    @given(st.sampled_from([17, 2049, _CHUNK + 3]), st.integers(0, 2**32 - 1), st.booleans())
-    def test_matches_one_shot_broadcast(self, n, seed, complex_g):
-        # n = 17 and 2049 fill many rows per chunk, n = _CHUNK + 3 one row per chunk
+
+def column_fsums(terms):
+    """The correctly rounded sum of each column of a real array."""
+    return np.array([math.fsum(col) for col in terms.T.tolist()])
+
+
+class TestShiftedProducts:
+    """The tiled weighted row sum of the shifted products against the one-shot
+    broadcast product: bit for bit in the promised order, and within the
+    rounding bound of recursive summation of an exact sum."""
+
+    @given(
+        st.sampled_from([17, 2049, _CHUNK + 3]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_matches_one_shot_broadcast(self, n, seed, complex_g, absval):
+        # n = 17 and 2049 fill many rows per tile, n = _CHUNK + 3 one row per
+        # tile; up to 2 * _WAVE + 1 tiles, so the last wave can be partial
         rng = np.random.default_rng(seed)
         lo, hi = -3.0, 5.0
         f = GridFunction(lo, hi, rng.standard_normal(n))
         gv = rng.standard_normal(n)
         g = GridFunction(lo, hi, gv + 1j * rng.standard_normal(n) if complex_g else gv)
         x = f.x
-        rows = int(rng.integers(1, 2 * max(1, _CHUNK // n) + 2))
+        rows = int(rng.integers(1, (2 * _WAVE + 1) * max(1, _CHUNK // (2 * n)) + 1))
         # whole and half grid steps: shifts on grid points, halfway between
         # them, and past [lo, hi] once |k| h / 2 > hi - lo
         a = rng.integers(-4 * n, 4 * n, rows) * (f.step / 2)
         b = np.where(rng.random(rows) < 0.5, a[::-1], rng.uniform(-2 * (hi - lo), 2 * (hi - lo), rows))
-        want = f(x[None, :] - a[:, None]) * g(x[None, :] - b[:, None])
-        got = _shifted_products(f, g, x, a, b, np.empty((rows, n), dtype=complex if complex_g else float))
+        w = rng.standard_normal(rows)
+        prod = f(x[None, :] - a[:, None]) * g(x[None, :] - b[:, None])
+        want = tiled_row_sum(prod, w, absval)
+        got = _weighted_row_sum(f, g, x, a, b, w, absval)
         assert got.dtype == want.dtype
         assert np.array_equal(bits(got), bits(want))
 
+        terms = (np.abs(prod) if absval else prod) * w[:, None]
+        bound = (rows + 1) * 2.0**-53 * np.abs(terms).sum(axis=0)
+        assert np.all(np.abs(got.real - column_fsums(terms.real)) <= bound)
+        if got.dtype == complex:
+            assert np.all(np.abs(got.imag - column_fsums(terms.imag)) <= bound)
+
     def test_apply_Tj_at_8193_matches_one_shot_blocks(self):
-        # 2^22 // 8193 = 511 rows per gemv block, so each component's 513
-        # nodes take two blocks; the sums must run over the same rows
+        # 2^16 // (2 * 8193) = 4 rows per tile, so each component's 513 nodes
+        # take 129 tiles in 9 waves; the sums must run in the same order
         f = gaussian(0.0, 1.0, n=8193)
         g = gaussian(0.3, 0.9, n=8193)
         x = f.x
-        block = max(8, (1 << 22) // x.size)
         want = np.zeros(x.size)
         for a, b in _COMPONENTS:
             ts, w = _quad_nodes(a, b, max(33, int(math.ceil((b - a) * (512 / 1.5))) + 1))
-            rw = rho(ts) * w
             shifted = 0.5 * ts
-            curved = P_SQ.eval(shifted)
-            assert block < ts.size
-            for s in range(0, ts.size, block):
-                e = min(s + block, ts.size)
-                want += rw[s:e] @ (f(x[None, :] - shifted[s:e, None]) * g(x[None, :] - curved[s:e, None]))
+            prod = f(x[None, :] - shifted[:, None]) * g(x[None, :] - P_SQ.eval(shifted)[:, None])
+            assert _WAVE * max(1, _CHUNK // (2 * x.size)) < ts.size
+            want += tiled_row_sum(prod, rho(ts) * w, False)
         got = apply_Tj(f, g, P_SQ, 1).output.values
         assert np.array_equal(bits(got), bits(want))
 
@@ -250,13 +288,33 @@ class TestShiftedProducts:
         for eps in (0.25, 0.5, 1.0):
             ts, w = _quad_nodes(-eps, eps, 513)
             prod = f(x[None, :] - ts[:, None]) * g(x[None, :] - P_SQ.eval(ts)[:, None])
-            want = np.maximum(want, (w / (2 * eps)) @ np.abs(prod))
+            want = np.maximum(want, tiled_row_sum(prod, w / (2 * eps), True))
         got = apply_M(f, g, P_SQ, [0.25, 0.5, 1.0]).values
         assert np.array_equal(bits(got), bits(want))
 
 
+# apply_Tj at 8193 points and apply_M at 2049, their outputs' bytes to stdout
+BLAS_PROBE = """
+import sys
+import numpy as np
+from curvelab.operators import apply_M, apply_Tj
+from curvelab.polynomials import Polynomial
+from curvelab.signals import GridFunction
+
+P = Polynomial.curve([0, 1.0])
+def gaussian(center, width, n):
+    return GridFunction.sample(lambda x: np.exp(-(((x - center) / width) ** 2)), -8.0, 8.0, n)
+f, g = gaussian(0.0, 1.0, 8193), gaussian(0.3, 0.9, 8193)
+out = [apply_Tj(f, g, P, j).output.values for j in (0, 1)]
+ind = GridFunction.indicator(0.0, 1.0, -8.0, 8.0, 2049)
+out.append(apply_M(ind, gaussian(0.3, 0.9, 2049), P, [0.25, 0.5, 1.0]).values)
+sys.stdout.buffer.write(np.concatenate(out).tobytes())
+"""
+
+
 class TestFillThreads:
-    """_shifted_products fills on _WORKERS threads, the caller included."""
+    """_weighted_row_sum fills and adds its tiles on _WORKERS threads, the
+    caller included."""
 
     @staticmethod
     def outputs():
@@ -277,6 +335,18 @@ class TestFillThreads:
         for got, want in zip(self.outputs(), forced):
             assert np.array_equal(bits(got), bits(want))
 
+    def test_bits_do_not_depend_on_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(operators.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()
+            runs.append(np.frombuffer(proc.stdout, dtype=np.float64))
+        assert runs[0].size == 2 * 8193 + 2049
+        assert np.array_equal(runs[0].view(np.int64), runs[1].view(np.int64))
+
     def test_error_in_a_helper_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(operators, "_WORKERS", 2)
         helper_called = threading.Event()
@@ -284,7 +354,7 @@ class TestFillThreads:
         class FailsInHelper(GridFunction):
             def __call__(self, x):
                 if threading.current_thread() is threading.main_thread():
-                    assert helper_called.wait(10)  # the helper takes a chunk first
+                    assert helper_called.wait(10)  # the helper takes a tile first
                     return super().__call__(x)
                 helper_called.set()
                 raise RuntimeError("fill failed")
