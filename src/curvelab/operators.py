@@ -76,22 +76,21 @@ def below_resolution_floor(j: int, step: float) -> bool:
 
 
 def _weighted_row_sum(f, g, x, a, b, w, absval=False):
-    """sum over r of w[r] * h(f(x - a[r]) * g(x - b[r])), h = abs if absval
-    else the identity.
+    """sum over r of w[r] * h(f(x - a[r]) * g(x - b[r])), where h is abs if
+    absval and the identity otherwise.
 
     The rows go in full-width tiles of max(1, _CHUNK // (2 * x.size)) rows,
     so a tile, its arguments and its f and g values stay cache-sized.  The
-    thread that fills a tile scales its rows by w and adds them in row order
-    into the tile's own partial row.  The calling thread and _WORKERS - 1
-    helper threads take the tiles of a wave of _WAVE in turn; np.interp
-    releases the GIL, so the tiles fill on every usable CPU.  The caller then
-    adds the wave's partials in tile order before the next wave starts.  So
-    every element is summed in an order fixed by the sizes alone, and neither
-    the number of threads nor BLAS can move a bit.  A tile has at least two
-    columns (a GridFunction has at least two samples), where
-    np.add.reduce(axis=0) adds rows in order; on a single column it would
-    switch to pairwise summation.  f and g are called from the helpers and
-    must be thread-safe, as GridFunction is.
+    tiles come in waves of _WAVE.  The calling thread and _WORKERS - 1
+    helpers take a wave's tiles in turn (np.interp releases the GIL); the
+    thread that takes a tile weights its rows and adds them in row order into
+    the tile's partial row.  The caller then adds the wave's partials in tile
+    order.  So every element is summed in an order fixed by the sizes alone:
+    neither the thread count nor BLAS can move a bit, and at most _WAVE
+    partial rows are held.  np.add.reduce(axis=0) adds rows in order only
+    while there are at least two columns, which holds because a GridFunction
+    has at least two samples.  f and g are called from the helpers and must
+    be thread-safe, as GridFunction is.
     """
     n = x.size
     step = max(1, _CHUNK // (2 * n))
