@@ -2,35 +2,23 @@
 
 from .polynomials import Polynomial, fit_decay_exponent, level_set_measure, real_roots_with_orders, truncate_term
 from .report import ExperimentReport
-from .signals import (
-    GridFunction,
-    hl_maximal,
-    littlewood_paley_piece,
-    lp_norm,
-    weak_lp_quasinorm,
-)
+from .signals import GridFunction, hl_maximal, littlewood_paley_piece, lp_norm
 from .scales import ScalePartition, classify_scales, shifted_scale_set, verify_cardinality_bound
 from .operators import (
     OperatorResult,
-    apply_H_truncated,
     apply_M,
     apply_Tj,
     multiplier_Mmn,
-    operator_ratio,
     restricted_Tj_alpha,
-    restricted_Tjh,
 )
 from .oscillatory import (
     PhasePair,
     SmoothFn,
-    bilinear_oscillatory_decay,
     dk_norm,
     inverse_derivatives,
     inverse_function,
-    mixed_derivative_floor_Q,
     oscillatory_integral,
     perturbation_pair_check,
-    phase_phi,
     sublevel_check,
 )
 from .sharpness import (
@@ -61,7 +49,6 @@ __all__ = [
     "ExperimentReport",
     "GridFunction",
     "lp_norm",
-    "weak_lp_quasinorm",
     "littlewood_paley_piece",
     "hl_maximal",
     "ScalePartition",
@@ -70,23 +57,17 @@ __all__ = [
     "shifted_scale_set",
     "OperatorResult",
     "apply_Tj",
-    "apply_H_truncated",
     "apply_M",
     "restricted_Tj_alpha",
-    "restricted_Tjh",
     "multiplier_Mmn",
-    "operator_ratio",
     "SmoothFn",
     "PhasePair",
     "oscillatory_integral",
     "sublevel_check",
-    "phase_phi",
     "dk_norm",
     "inverse_function",
     "inverse_derivatives",
     "perturbation_pair_check",
-    "bilinear_oscillatory_decay",
-    "mixed_derivative_floor_Q",
     "CounterexampleInstance",
     "build_counterexample_endpoint",
     "endpoint_scaling_experiment",

@@ -1,5 +1,5 @@
-"""Quadrature evaluation of the single-scale bilinear pieces T_j, their
-truncated sums, the bilinear maximal average, the level-set-restricted pieces,
+"""Quadrature evaluation of the single-scale bilinear pieces T_j, the
+bilinear maximal average, the derivative-band restricted pieces T_j^alpha,
 and the frequency-side multiplier.
 
 Everything works in the rescaled variable: T_j(f,g)(x) integrates
@@ -14,23 +14,19 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .oscillatory import SmoothFn, j_l_shift, oscillatory_integral, q_perturbation
 from .polynomials import Polynomial, bands
-from .signals import GridFunction, _quad_nodes, lp_norm, phi_hat, rho
+from .signals import GridFunction, _quad_nodes, phi_hat, rho
 
 __all__ = [
     "OperatorResult",
     "apply_Tj",
-    "apply_H_truncated",
     "apply_M",
     "restricted_Tj_alpha",
-    "restricted_Tjh",
     "multiplier_Mmn",
-    "operator_ratio",
 ]
 
 _COMPONENTS = ((0.5, 2.0), (-2.0, -0.5))
@@ -63,8 +59,6 @@ if hasattr(os, "register_at_fork"):
 @dataclass
 class OperatorResult:
     output: GridFunction
-    j_terms: Optional[dict] = None
-    nodes_per_component: int = 0
     resolution_warning: bool = False
     extras: dict = field(default_factory=dict)
 
@@ -167,39 +161,7 @@ def apply_Tj(
     x = f.x
     nodes_per_unit = nodes_per_component / 1.5
     vals = _bilinear_sum(f, g, P, scale, x, _COMPONENTS, nodes_per_unit)
-    return OperatorResult(
-        output=f.with_values(vals),
-        nodes_per_component=nodes_per_component,
-        resolution_warning=warn,
-    )
-
-
-def apply_H_truncated(
-    f: GridFunction,
-    g: GridFunction,
-    P: Polynomial,
-    j_min: int,
-    j_max: int,
-    retain_terms: bool = False,
-) -> OperatorResult:
-    """Sum of T_j over j_min <= j <= j_max, 512 nodes per component each."""
-    if j_min > j_max:
-        raise ValueError("need j_min <= j_max")
-    total = np.zeros(f.n, dtype=complex if f.is_complex or g.is_complex else float)
-    terms = {} if retain_terms else None
-    warn = False
-    for j in range(j_min, j_max + 1):
-        res = apply_Tj(f, g, P, j)
-        total += res.output.values
-        warn = warn or res.resolution_warning
-        if retain_terms:
-            terms[j] = res.output
-    return OperatorResult(
-        output=f.with_values(total),
-        j_terms=terms,
-        nodes_per_component=512,
-        resolution_warning=warn,
-    )
+    return OperatorResult(output=f.with_values(vals), resolution_warning=warn)
 
 
 def apply_M(
@@ -223,17 +185,6 @@ def apply_M(
     return f.with_values(best)
 
 
-def _derivative_of_curve(P: Polynomial, j: int):
-    """s -> d/ds P(2^-j s) = 2^-j P'(2^-j s)."""
-    scale = 2.0 ** (-j)
-    dP = P.derivative()
-
-    def G(s):
-        return scale * dP.eval(scale * np.asarray(s, dtype=float))
-
-    return G
-
-
 def restricted_Tj_alpha(
     f: GridFunction,
     g: GridFunction,
@@ -246,13 +197,13 @@ def restricted_Tj_alpha(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     P.require_no_linear_term()
-    G = _derivative_of_curve(P, j)
     scale = 2.0 ** (-j)
+    dP = P.derivative()
     x = f.x
     nodes_per_unit = nodes_per_component / 1.5
 
     def in_band(s):
-        v = np.abs(G(s))
+        v = np.abs(scale * dP.eval(scale * s))  # |d/ds P(2^-j s)|
         return (v >= alpha) & (v <= 2.0 * alpha)
 
     subs = []
@@ -262,49 +213,7 @@ def restricted_Tj_alpha(
         subs.extend(found)
         measure += sum(hi - lo for lo, hi in found)
     vals = _bilinear_sum(f, g, P, scale, x, subs, nodes_per_unit)
-    return OperatorResult(
-        output=f.with_values(vals),
-        nodes_per_component=nodes_per_component,
-        extras={"band_measure": measure, "subintervals": subs},
-    )
-
-
-def restricted_Tjh(
-    f: GridFunction,
-    g: GridFunction,
-    P: Polynomial,
-    j: int,
-    h: float,
-):
-    """T_j restricted to E_0(h), plus the measure |E_0(h)|, at 512 nodes per component.
-
-    E_0 keeps the positive-derivative window (1/2) 2^-j < dP(2^-j s)/ds < 2 * 2^-j;
-    E_0(h) further requires h 2^-j <= |dP(2^-j s)/ds - 2^-j| <= 2h 2^-j.
-    """
-    if not 0 < h <= 1:
-        raise ValueError("h must lie in (0, 1]")
-    P.require_no_linear_term()
-    G = _derivative_of_curve(P, j)
-    sj = 2.0 ** (-j)
-    x = f.x
-
-    def member(s):
-        v = G(s)
-        in_e0 = (v > 0.5 * sj) & (v < 2.0 * sj)
-        dev = np.abs(v - sj)
-        return in_e0 & (dev >= h * sj) & (dev <= 2.0 * h * sj)
-
-    subs = []
-    for a, b in _COMPONENTS:
-        subs.extend(bands(member, a, b, 4096, (b - a) * 1e-12))
-    measure = sum(b - a for a, b in subs)
-    vals = _bilinear_sum(f, g, P, sj, x, subs, 512 / 1.5)
-    result = OperatorResult(
-        output=f.with_values(vals),
-        nodes_per_component=512,
-        extras={"band_measure": measure, "subintervals": subs},
-    )
-    return result, measure
+    return OperatorResult(output=f.with_values(vals), extras={"band_measure": measure})
 
 
 def multiplier_Mmn(
@@ -345,12 +254,3 @@ def multiplier_Mmn(
         amp = SmoothFn(fn=rho, domain=comp)
         total += oscillatory_integral(ph, amp, 1.0, comp)
     return c1 * c2 * total
-
-
-def operator_ratio(Tfg: GridFunction, f: GridFunction, g: GridFunction, p1: float, p2: float, r: float) -> float:
-    """||T(f,g)||_r / (||f||_p1 ||g||_p2), the quantity the uniform bounds cap."""
-    denom = lp_norm(f, p1) * lp_norm(g, p2)
-    if denom == 0.0:
-        raise ValueError("zero denominator: input norms vanish")
-    return lp_norm(Tfg, r) / denom
-

@@ -1,6 +1,6 @@
-"""Oscillatory-integral quadrature, sublevel-set decay checks, stationary
-phase along curve multipliers, D_K norms, and inverse-function perturbation
-machinery.
+"""Oscillatory-integral quadrature, sublevel-set decay checks, the scale
+shift j_l and the perturbation Q_l behind the curve multipliers, D_K norms,
+and inverse-function perturbation machinery.
 
 High-order numerical differentiation runs through Chebyshev interpolants
 (never finite differences): D_K norms up to K ~ 8 need stable derivatives.
@@ -18,7 +18,6 @@ from numpy.polynomial import chebyshev as cheb
 
 from .polynomials import Polynomial, _eval_vec, bisect, truncate_term
 from .report import ExperimentReport
-from .signals import GridFunction
 from . import polynomials as _poly
 
 __all__ = [
@@ -26,19 +25,13 @@ __all__ = [
     "PhasePair",
     "oscillatory_integral",
     "sublevel_check",
-    "phase_phi",
     "j_l_shift",
     "q_perturbation",
     "dk_norm",
     "inverse_function",
     "inverse_derivatives",
     "perturbation_pair_check",
-    "bilinear_oscillatory_decay",
-    "mixed_derivative_floor_Q",
-    "ChebTensor",
 ]
-
-REFERENCE_J = (0.5, 2.0)  # the canonical annulus component
 
 
 @dataclass(frozen=True)
@@ -333,7 +326,7 @@ def sublevel_check(
     )
 
 
-# -- stationary phase ----------------------------------------------------------
+# -- scale shift and perturbation ----------------------------------------------
 
 
 def j_l_shift(P: Polynomial, l: int) -> float:
@@ -352,59 +345,6 @@ def q_perturbation(P: Polynomial, l: int, j: float) -> Polynomial:
     Pl = truncate_term(P, l)
     scaled = [c * 2.0 ** (j_l * (1 - k) + j * (l - k)) for k, c in enumerate(Pl.coeffs)]
     return Polynomial(scaled)
-
-
-def _phase_polynomial(P: Polynomial, l: int, j: float, xi: float, eta: float) -> Polynomial:
-    """psi(t) = t*xi + (t^l + Q_l(t)) * eta as a polynomial."""
-    Q = q_perturbation(P, l, j)
-    cs = [eta * c for c in Q.coeffs]
-    while len(cs) <= l:
-        cs.append(0.0)
-    cs[l] += eta
-    cs[1] += xi
-    return Polynomial(cs)
-
-
-def phase_phi(P: Polynomial, l: int, j: float, xi: float, eta: float, component=REFERENCE_J):
-    """Stationary point and phase of t*xi + (t^l + Q_l(t))*eta on one annulus
-    component (default (1/2, 2); pass (-2, -1/2) for the other).
-
-    Exactly one sign change of the derivative is required on the component.
-    Returns (t0, phi) with phi = 2*pi*(t0*xi/eta + t0^l + Q_l(t0))*eta.
-    """
-    psi = _phase_polynomial(P, l, j, xi, eta)
-    dpsi = psi.derivative()
-    Q = q_perturbation(P, l, j)
-    a, b = map(float, component)
-    xs = np.linspace(a, b, 2049)
-    vals = dpsi.eval(xs)
-    flips = np.nonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))[0]
-    candidates = []
-    d2 = dpsi.derivative()
-    for i in flips:
-        t0 = bisect(dpsi.eval, xs[i], xs[i + 1])
-        for _ in range(60):
-            f, df = dpsi.eval(t0), d2.eval(t0)
-            if df == 0.0:
-                break
-            step = f / df
-            t0 -= step
-            if abs(step) < 1e-15:
-                break
-        candidates.append(t0)
-    dedup = []
-    for t0 in candidates:
-        if not any(abs(t0 - s) < 1e-9 for s in dedup):
-            dedup.append(t0)
-    if not dedup:
-        raise ValueError("no stationary point in the annulus component")
-    if len(dedup) > 1:
-        raise ValueError(f"non-unique stationary point: {dedup}")
-    t0 = dedup[0]
-    if abs(dpsi.eval(t0)) > 1e-10 * (1.0 + dpsi.max_abs_coeff):
-        raise ValueError("stationary point refinement failed")
-    phi = 2.0 * math.pi * (t0 * xi / eta + t0**l + Q.eval(t0)) * eta
-    return t0, phi
 
 
 # -- D_K norms -----------------------------------------------------------------
@@ -576,10 +516,7 @@ def perturbation_pair_check(pair: PhasePair, sample_points: Sequence[float]) -> 
     failures = []
     xs = np.linspace(dom[0], dom[1], 2049)
     for tag, F in (("F0", pair.f0), ("F1", pair.f1)):
-        if F.derivative_order_available >= 1:
-            dmin = float(np.min(np.abs(_eval_vec(F.deriv(1), xs))))
-        else:
-            dmin = float(np.min(np.abs(np.gradient(_eval_vec(F.fn, xs), xs))))
+        dmin = float(np.min(np.abs(_sampled_derivative(F, xs))))
         if dmin < 0.5:
             failures.append(f"(i) inf|D{tag}| = {dmin:.3g} < 0.5")
     for tag, F in (("F0", pair.f0), ("F1", pair.f1)):
@@ -610,190 +547,3 @@ def perturbation_pair_check(pair: PhasePair, sample_points: Sequence[float]) -> 
         passed=bool(norm <= bound),
         config={"K": K, "N": N},
     )
-
-
-# -- 2d: Chebyshev tensors and bilinear decay -------------------------------------
-
-
-def _cheb_transform_matrix(n: int) -> tuple:
-    """First-kind Chebyshev points and the exact values->coefficients operator."""
-    pts = cheb.chebpts1(n)
-    V = cheb.chebvander(pts, n - 1)
-    T = (2.0 / n) * V.T
-    T[0] *= 0.5
-    return pts, T
-
-
-class ChebTensor:
-    """Tensor-product Chebyshev interpolant of a bivariate function."""
-
-    def __init__(self, fn: Callable, x_range, y_range, deg: int = 48):
-        self.x_range = tuple(map(float, x_range))
-        self.y_range = tuple(map(float, y_range))
-        n = deg + 1
-        pts, T = _cheb_transform_matrix(n)
-        xs = self._map_from_unit(pts, self.x_range)
-        ys = self._map_from_unit(pts, self.y_range)
-        try:
-            vals = np.asarray(fn(xs[:, None], ys[None, :]), dtype=float)
-            if vals.shape != (n, n):
-                raise ValueError
-        except Exception:
-            vals = np.array([[float(fn(x, y)) for y in ys] for x in xs])
-        self.coef = T @ vals @ T.T
-
-    @staticmethod
-    def _map_from_unit(u, rng):
-        return 0.5 * (rng[0] + rng[1]) + 0.5 * (rng[1] - rng[0]) * np.asarray(u, float)
-
-    def _map_to_unit(self, x, rng):
-        return (2.0 * np.asarray(x, float) - (rng[0] + rng[1])) / (rng[1] - rng[0])
-
-    def derivative(self, dx: int, dy: int) -> "ChebTensor":
-        c = self.coef
-        sx = 2.0 / (self.x_range[1] - self.x_range[0])
-        sy = 2.0 / (self.y_range[1] - self.y_range[0])
-        for _ in range(dx):
-            c = cheb.chebder(c, axis=0) * sx
-        for _ in range(dy):
-            c = cheb.chebder(c, axis=1) * sy
-        out = object.__new__(ChebTensor)
-        out.x_range, out.y_range, out.coef = self.x_range, self.y_range, c
-        return out
-
-    def __call__(self, x, y):
-        u = self._map_to_unit(x, self.x_range)
-        v = self._map_to_unit(y, self.y_range)
-        return cheb.chebval2d(u, v, self.coef)
-
-    def grid(self, xs, ys):
-        u = self._map_to_unit(xs, self.x_range)
-        v = self._map_to_unit(ys, self.y_range)
-        return cheb.chebgrid2d(u, v, self.coef)
-
-
-def _gl_axis(a: float, b: float, n_nodes: int):
-    n_panels = max(2, int(math.ceil(n_nodes / _GL_NODES.size)))
-    h = (b - a) / n_panels
-    lefts = a + h * np.arange(n_panels)
-    ts = (lefts[:, None] + h * 0.5 * (1.0 + _GL_NODES)[None, :]).ravel()
-    w = np.tile(_GL_WEIGHTS * (h * 0.5), n_panels)
-    return ts, w
-
-
-def bilinear_oscillatory_decay(
-    psi: Callable,
-    k: int,
-    lambda_list: Sequence[float],
-    f: GridFunction,
-    g: GridFunction,
-    I1,
-    I2,
-) -> ExperimentReport:
-    """|iint exp(i*lam*psi(x,y)) f(x) g(y) dx dy| over a lambda ladder, with
-    Gauss-Legendre nodes at 6 per period of exp(i*lam*psi) along each axis.
-
-    Verifies the derivative floor |d_x^k d_y psi| >= 1 on I1 x I2 first
-    (Chebyshev tensor differentiation), plus the nonvanishing of
-    d_x^(k+1) d_y psi when k = 1.  Reports the fitted decay exponent of the
-    normalized absolute values and a monotone-envelope flag.
-    """
-    a1, b1 = map(float, I1)
-    a2, b2 = map(float, I2)
-    tensor = ChebTensor(psi, (a1, b1), (a2, b2), deg=48)
-    xs = np.linspace(a1, b1, 65)
-    ys = np.linspace(a2, b2, 65)
-    floor = np.min(np.abs(tensor.derivative(k, 1).grid(xs, ys)))
-    if floor < 1.0 - 1e-6:
-        raise ValueError(f"derivative floor violated: min |d_x^{k} d_y psi| = {floor:.3g} < 1")
-    convexity_ok = True
-    if k == 1:
-        # the k = 1 decay estimate needs |d_x^2 d_y psi| != 0 besides the
-        # floor in general; separable phases like xy decay without it, so
-        # the check is reported rather than fatal
-        conv = np.min(np.abs(tensor.derivative(2, 1).grid(xs, ys)))
-        convexity_ok = bool(conv > 1e-8)
-    sup_dx = float(np.max(np.abs(tensor.derivative(1, 0).grid(xs, ys))))
-    sup_dy = float(np.max(np.abs(tensor.derivative(0, 1).grid(xs, ys))))
-
-    rows = []
-    values = []
-    for lam in lambda_list:
-        lam = float(lam)
-        nx = max(64, int(math.ceil(6.0 * abs(lam) * sup_dx * (b1 - a1) / (2 * math.pi))))
-        ny = max(64, int(math.ceil(6.0 * abs(lam) * sup_dy * (b2 - a2) / (2 * math.pi))))
-        if nx * ny > 1 << 31:
-            raise ValueError(f"node budget exceeded: {nx:.3g} x {ny:.3g} tensor nodes")
-        txs, wx = _gl_axis(a1, b1, nx)
-        tys, wy = _gl_axis(a2, b2, ny)
-        fw = np.asarray(f(txs)) * wx
-        gw = np.asarray(g(tys)) * wy
-        total = 0.0 + 0.0j
-        block = max(1, _CHUNK // len(tys))
-        for s in range(0, len(txs), block):
-            xb = txs[s : s + block]
-            ph = psi(xb[:, None], tys[None, :])
-            total += complex(np.exp(1j * lam * ph).dot(gw).dot(fw[s : s + block]))
-        val = abs(total)
-        values.append(val)
-        rows.append({"lambda": lam, "abs_value": val, "nodes_x": len(txs), "nodes_y": len(tys)})
-
-    lams = np.asarray([float(x) for x in lambda_list])
-    vals = np.asarray(values)
-    pos = vals > 1e-300
-    if np.count_nonzero(pos) >= 3:
-        slope, _, r2 = _poly.fit_decay_exponent(list(zip(lams[pos], vals[pos])))
-        eps_emp = -slope
-    else:
-        eps_emp, r2 = math.inf, 1.0
-    envelope = np.maximum.accumulate(vals[::-1])[::-1]
-    monotone = bool(np.all(np.diff(envelope) <= 1e-12 * (envelope[:-1] + 1e-300)))
-    return ExperimentReport(
-        name="bilinear_oscillatory_decay",
-        rows=rows,
-        fitted={"epsilon_emp": eps_emp, "r_squared": r2, "derivative_floor": float(floor)},
-        flags={"monotone_envelope": monotone, "convexity_ok": convexity_ok},
-        config={"k": k, "I1": [a1, b1], "I2": [a2, b2]},
-    )
-
-
-def mixed_derivative_floor_Q(
-    P: Polynomial,
-    l: int,
-    j: float,
-    tau: float,
-    b2: float,
-    grid,
-):
-    """min |d_u d_v Q_tau(u, v)| over the grid, and its ratio to |tau|.
-
-    Q_tau(u, v) = phi_l(u, v) - phi_l(u - tau, v + b2*tau); every sampled
-    argument pair must stay inside the Phi-hat band annulus.
-    """
-    u_vals = np.asarray(grid[0], dtype=float)
-    v_vals = np.asarray(grid[1], dtype=float)
-
-    def in_band(x):
-        return (np.abs(x) > 0.5) & (np.abs(x) < 2.0)
-
-    for arr, name in (
-        (u_vals, "u"),
-        (v_vals, "v"),
-        (u_vals - tau, "u - tau"),
-        (v_vals + b2 * tau, "v + b2*tau"),
-    ):
-        if not np.all(in_band(arr)):
-            raise ValueError(f"{name} leaves the Phi-hat band annulus")
-
-    if tau == 0.0:
-        return 0.0, 0.0
-
-    def q_tau(u, v):
-        return phase_phi(P, l, j, u, v)[1] - phase_phi(P, l, j, u - tau, v + b2 * tau)[1]
-
-    box_u = (u_vals.min(), u_vals.max())
-    box_v = (v_vals.min(), v_vals.max())
-    tensor = ChebTensor(q_tau, box_u, box_v, deg=40)
-    field = tensor.derivative(1, 1).grid(u_vals, v_vals)
-    min_abs = float(np.min(np.abs(field)))
-    return min_abs, min_abs / abs(tau)

@@ -19,7 +19,6 @@ __all__ = [
     "psi",
     "rho",
     "lp_norm",
-    "weak_lp_quasinorm",
     "littlewood_paley_piece",
     "multiplier_piece",
     "hl_maximal",
@@ -177,26 +176,6 @@ def lp_norm(f: GridFunction, p: float) -> float:
         raise ValueError("p must be positive")
     w = _trapezoid_weights(f.n)
     return float(np.sum(w * np.abs(f.values) ** p) * f.step) ** (1.0 / p)
-
-
-def weak_lp_quasinorm(f: GridFunction, p: float) -> float:
-    """sup over lambda of lambda * |{|f| >= lambda}|^(1/p), measure by step-counting.
-
-    Closed sublevel sets make the sup attainable at the sample magnitudes
-    themselves (the lambda -> v^- limit of the open-set definition), so it is
-    evaluated exactly there.
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    mag = np.abs(f.values)
-    w = _trapezoid_weights(f.n) * f.step
-    if not np.any(mag > 0):
-        return 0.0
-    order = np.argsort(mag)[::-1]
-    sorted_mag = mag[order]
-    suffix = np.cumsum(w[order])  # measure of {|f| >= sorted_mag[k]}
-    keep = sorted_mag > 0
-    return float(np.max(sorted_mag[keep] * suffix[keep] ** (1.0 / p)))
 
 
 # -- Littlewood-Paley pieces ------------------------------------------------

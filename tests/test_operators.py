@@ -17,16 +17,12 @@ from curvelab.operators import (
     _WAVE,
     _quad_nodes,
     _weighted_row_sum,
-    apply_H_truncated,
     apply_M,
     apply_Tj,
     multiplier_Mmn,
-    operator_ratio,
     restricted_Tj_alpha,
-    restricted_Tjh,
 )
-from curvelab.polynomials import Polynomial, fit_decay_exponent
-from curvelab.scales import classify_scales
+from curvelab.polynomials import Polynomial
 from curvelab.signals import GridFunction, lp_norm, phi_hat, rho
 
 P_SQ = Polynomial.curve([0, 1.0])  # t^2
@@ -115,6 +111,16 @@ class TestApplyTj:
         res = apply_Tj(f, f, P_SQ, 12)
         assert res.resolution_warning
 
+    def test_partial_sums_cauchy(self):
+        f = gaussian(0.0, 1.0)
+        g = gaussian(0.1, 1.2)
+        tails = []
+        for J in (2, 4, 6):
+            lo = apply_Tj(f, g, P_SQ, -J - 1).output.values
+            hi = apply_Tj(f, g, P_SQ, J + 1).output.values
+            tails.append(np.max(np.abs(lo + hi)))
+        assert tails[2] < tails[1] < tails[0]
+
 
 def bits(a):
     """The raw bytes of a float or complex array as int64s, so -0.0 != 0.0."""
@@ -134,47 +140,6 @@ class TestComplexInput:
         im = apply_Tj(f.with_values(f.values.imag), g, P_SQ, j).output.values
         assert T.dtype == complex
         assert np.max(np.abs(T - (re + 1j * im))) <= 1e-13 * np.max(np.abs(T))
-
-    def test_apply_H_truncated_sums_complex_terms(self):
-        f, g = complex_gaussian(), gaussian(0.3, 0.9)
-        want = apply_Tj(f, g, P_SQ, 0).output.values + apply_Tj(f, g, P_SQ, 1).output.values
-        got = apply_H_truncated(f, g, P_SQ, 0, 1).output.values
-        assert np.array_equal(bits(got), bits(want))
-
-
-class TestApplyH:
-    def test_single_scale_matches_Tj(self):
-        f = gaussian(0.0, 1.0)
-        g = gaussian(0.2, 0.9)
-        one = apply_H_truncated(f, g, P_SQ, 2, 2).output.values
-        tj = apply_Tj(f, g, P_SQ, 2).output.values
-        np.testing.assert_allclose(one, tj, rtol=0, atol=1e-14)
-
-    def test_partial_sums_cauchy(self):
-        f = gaussian(0.0, 1.0)
-        g = gaussian(0.1, 1.2)
-        tails = []
-        for J in (2, 4, 6):
-            lo = apply_Tj(f, g, P_SQ, -J - 1).output.values
-            hi = apply_Tj(f, g, P_SQ, J + 1).output.values
-            tails.append(np.max(np.abs(lo + hi)))
-        assert tails[2] < tails[1] < tails[0]
-
-    def test_partition_split_reassembles(self):
-        P = Polynomial.curve([0, 1.0, 1.0])
-        part = classify_scales(P, 2, (-4, 4))
-        f = gaussian(0.0, 1.0, n=1025)
-        g = gaussian(0.3, 0.8, n=1025)
-        res = apply_H_truncated(f, g, P, -4, 4, retain_terms=True)
-        total = res.output.values
-        good = np.zeros_like(total)
-        bad = np.zeros_like(total)
-        for j, term in res.j_terms.items():
-            if part.classes[j] == "good":
-                good += term.values
-            else:
-                bad += term.values
-        np.testing.assert_allclose(good + bad, total, atol=1e-12)
 
 
 class TestApplyM:
@@ -410,41 +375,6 @@ class TestRestrictedAlpha:
         assert res.extras["band_measure"] == 0.0
 
 
-class TestRestrictedTjh:
-    def test_measure_exponent(self):
-        # P = t^2 - t^3/3 has P'(t) = 1 - (t-1)^2, so |P' - 1| = (t-1)^2:
-        # a k0 = 3 structure with |E_0(h)| = 2(sqrt(2)-1) sqrt(h) for small h
-        P = Polynomial([0, 0, 1.0, -1.0 / 3.0])
-        f = gaussian(0.0, 1.0, n=513)
-        pts = []
-        for h in [2.0**-k for k in range(3, 12)]:
-            _, measure = restricted_Tjh(f, f, P, 0, h)
-            if measure > 0:
-                pts.append((h, measure))
-        assert len(pts) >= 5
-        slope, _, _ = fit_decay_exponent(pts)
-        assert slope == pytest.approx(0.5, abs=0.1)
-        h_chk, m_chk = pts[-1]
-        assert m_chk == pytest.approx(2 * (math.sqrt(2) - 1) * math.sqrt(h_chk), rel=0.01)
-
-    def test_band_containment_and_disjointness(self):
-        P = Polynomial.curve([0, 1.0])
-        f = gaussian(0.0, 1.0, n=513)
-        _, m1 = restricted_Tjh(f, f, P, 0, 1.0)
-        _, m2 = restricted_Tjh(f, f, P, 0, 0.25)
-        res1, _ = restricted_Tjh(f, f, P, 0, 1.0)
-        res2, _ = restricted_Tjh(f, f, P, 0, 0.25)
-        for a1, b1 in res1.extras["subintervals"]:
-            for a2, b2 in res2.extras["subintervals"]:
-                overlap = min(b1, b2) - max(a1, a2)
-                assert overlap <= 1e-8
-
-    def test_h_validation(self):
-        f = gaussian(0.0, 1.0, n=513)
-        with pytest.raises(ValueError):
-            restricted_Tjh(f, f, P_SQ, 0, 1.5)
-
-
 class TestMultiplier:
     def test_band_zero_exact(self):
         val = multiplier_Mmn(P_SQ, 2, 0, 3, 3, 0.1, 12.0)
@@ -470,25 +400,3 @@ class TestMultiplier:
         pred = rho(t0) * 2.0 ** (-m / 2) / math.sqrt(2.0 * abs(c_eta))
         band = phi_hat(c_xi) * phi_hat(c_eta)
         assert val == pytest.approx(band * pred, rel=0.05)
-
-
-class TestOperatorRatio:
-    def test_identity_case(self):
-        f = gaussian(0.0, 1.0)
-        g = wide_ones()
-        gn = g * (1.0 / lp_norm(g, 2))
-        assert operator_ratio(f, f, gn, 2.0, 2.0, 2.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_homogeneity(self):
-        f = gaussian(0.0, 1.0, n=1025)
-        g = gaussian(0.3, 0.7, n=1025)
-        out1 = apply_Tj(f, g, P_SQ, 0).output
-        out2 = apply_Tj(3.0 * f, g, P_SQ, 0).output
-        r1 = operator_ratio(out1, f, g, 2, 2, 1)
-        r2 = operator_ratio(out2, 3.0 * f, g, 2, 2, 1)
-        assert r1 == pytest.approx(r2, rel=1e-9)
-
-    def test_zero_denominator(self):
-        z = GridFunction(0, 1, np.zeros(64))
-        with pytest.raises(ValueError):
-            operator_ratio(z, z, z, 2, 2, 1)

@@ -6,22 +6,18 @@ import pytest
 from curvelab import oscillatory as osc
 from curvelab.cli import _random_monotone_quintic, fd_inverse_derivative
 from curvelab.oscillatory import (
-    ChebTensor,
     PhasePair,
     SmoothFn,
-    bilinear_oscillatory_decay,
     dk_norm,
     inverse_derivatives,
     inverse_function,
-    mixed_derivative_floor_Q,
     oscillatory_integral,
     perturbation_pair_check,
-    phase_phi,
     q_perturbation,
     sublevel_check,
 )
 from curvelab.polynomials import Polynomial
-from curvelab.signals import GridFunction, rho
+from curvelab.signals import rho
 
 
 def const_one(t):
@@ -305,61 +301,6 @@ class TestSublevel:
             sublevel_check(u, 2, [0.1])
 
 
-class TestPhasePhi:
-    def test_quadratic_stationary_point(self):
-        P = Polynomial.curve([0, 1.0])
-        for xi, eta in [(-2.0, 1.0), (-1.5, 1.0), (3.0, -1.2)]:
-            t0, _ = phase_phi(P, 2, 0, xi, eta)
-            assert t0 == pytest.approx(-xi / (2 * eta), abs=1e-10)
-
-    def test_closed_form_constant(self):
-        # phi = c_l xi^{l/(l-1)} / eta^{1/(l-1)} for the pure monomial
-        rng = np.random.default_rng(1)
-        for l in (2, 3):
-            P = Polynomial([0.0] * l + [1.0])
-            ref_xi, ref_eta = 1.0, -1.0 / l  # t0 = 1, inside the annulus
-            _, phi_ref = phase_phi(P, l, 0, ref_xi, ref_eta)
-            c_l = phi_ref / (ref_xi ** (l / (l - 1)) / (-ref_eta) ** (1 / (l - 1))) * (-1)
-            count = 0
-            while count < 50:
-                xi = rng.uniform(0.5, 2.0)
-                eta = -rng.uniform(0.5, 2.0)
-                t0_pred = (xi / (l * -eta)) ** (1 / (l - 1))
-                if not (0.55 < t0_pred < 1.95):
-                    continue
-                count += 1
-                _, phi = phase_phi(P, l, 0, xi, eta)
-                closed = -c_l * xi ** (l / (l - 1)) / (-eta) ** (1 / (l - 1))
-                assert phi == pytest.approx(closed, rel=1e-10)
-
-    def test_small_perturbation_of_stationary_point(self):
-        # a_3 chosen so ||Q_2||_{D_K} <= 2^-20 at j = 10
-        eps = 2.0**-10 / 48.0
-        P = Polynomial.curve([0, 1.0, eps])
-        Q = q_perturbation(P, 2, 10)
-        assert max(abs(c) for c in Q.coeffs) * 48 <= 2.0**-19
-        t0p, _ = phase_phi(P, 2, 10, -2.0, 1.0)
-        t0u, _ = phase_phi(Polynomial.curve([0, 1.0]), 2, 10, -2.0, 1.0)
-        assert abs(t0p - t0u) <= 2.0**-10
-
-    def test_no_stationary_point(self):
-        P = Polynomial.curve([0, 1.0])
-        # derivative xi + 2 t eta vanishes at t = -5, outside both components
-        with pytest.raises(ValueError, match="no stationary point"):
-            phase_phi(P, 2, 0, 1.0, 0.1)
-
-    def test_non_unique_stationary_points(self):
-        # psi' = 0.2 + t(t-1)(t-2) crosses zero twice inside (1/2, 2)
-        P = Polynomial([0, 0, 1.0, -1.0, 0.25])
-        with pytest.raises(ValueError, match="non-unique"):
-            phase_phi(P, 2, 0, 0.2, 1.0)
-
-    def test_negative_component(self):
-        P = Polynomial.curve([0, 1.0])
-        t0, _ = phase_phi(P, 2, 0, 2.0, 1.0, component=(-2.0, -0.5))
-        assert t0 == pytest.approx(-1.0, abs=1e-10)
-
-
 class TestDkNorm:
     def test_linear(self):
         F = SmoothFn(fn=lambda t: np.asarray(t, dtype=float), domain=(0.5, 2.0))
@@ -594,106 +535,6 @@ class TestPerturbationPairs:
             prev = cur
 
 
-def bump(center, width):
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        s = (x - center) / width
-        out = np.zeros_like(s)
-        inside = np.abs(s) < 1
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-        return out
-
-    return f
-
-
-class TestBilinearDecay:
-    def test_lambda_zero_product(self):
-        f = GridFunction.sample(bump(0.0, 0.4), -0.5, 0.5, 801)
-        g = GridFunction.sample(bump(0.0, 0.4), -0.5, 0.5, 801)
-        rep = bilinear_oscillatory_decay(lambda x, y: x * y, 1, [1e-9, 2e-9, 4e-9], f, g, (-0.5, 0.5), (-0.5, 0.5))
-        val = rep.rows[0]["abs_value"]
-        mass = np.trapezoid(bump(0.0, 0.4)(np.linspace(-0.5, 0.5, 20001)), dx=1 / 20000)
-        assert val == pytest.approx(mass**2, rel=1e-4)
-
-    def test_xy_phase_decay(self):
-        f = GridFunction.sample(bump(0.0, 0.45), -0.5, 0.5, 2001)
-        g = GridFunction.sample(bump(0.0, 0.45), -0.5, 0.5, 2001)
-        lams = [2.0**k for k in range(4, 15)]
-        rep = bilinear_oscillatory_decay(lambda x, y: x * y, 1, lams, f, g, (-0.5, 0.5), (-0.5, 0.5))
-        assert rep.fitted["epsilon_emp"] >= 0.45
-        assert rep.flags["monotone_envelope"]
-
-    def test_floor_violation(self):
-        f = GridFunction.sample(bump(0.0, 0.4), -0.5, 0.5, 801)
-        with pytest.raises(ValueError, match="derivative floor"):
-            bilinear_oscillatory_decay(lambda x, y: 0.1 * x * y, 1, [16.0], f, f, (-0.5, 0.5), (-0.5, 0.5))
-
-    def test_tensor_budget_error_counts_in_three_digits(self):
-        f = GridFunction.sample(bump(0.0, 0.4), -0.5, 0.5, 801)
-        with pytest.raises(ValueError, match=r"^node budget exceeded: [\d.]+e\+\d+ x [\d.]+e\+\d+ tensor nodes$"):
-            bilinear_oscillatory_decay(lambda x, y: x * y, 1, [1e300], f, f, (-0.5, 0.5), (-0.5, 0.5))
-
-    def test_otau_l2_phase(self):
-        # O_tau built from the unperturbed l = 2 closed forms:
-        # beta(z) = -z^2/4, kappa(s) = sqrt(s); floor in the swapped (v, u) axes
-        tau = 0.25
-        c = 1.0
-
-        def beta(z):
-            return -np.asarray(z, dtype=float) ** 2 / 4.0
-
-        def o_tau(u, v):
-            u = np.asarray(u, dtype=float)
-            v = np.asarray(v, dtype=float)
-            return beta(c * (u - np.sqrt(v))) - beta(c * (u - np.sqrt(v + tau)))
-
-        I1, I2 = (0.75, 1.3), (0.1, 0.9)
-        raw = lambda x, y: o_tau(y, x)  # x = v, y = u
-        probe = ChebTensor(raw, I1, I2, deg=32).derivative(2, 1)
-        floor = np.min(np.abs(probe.grid(np.linspace(*I1, 33), np.linspace(*I2, 33))))
-        assert floor > 0
-        scale = 1.02 / floor
-
-        def psi_swapped(x, y):
-            return raw(x, y) * scale
-
-        f = GridFunction.sample(bump(1.0, 0.2), 0.6, 1.4, 1601)
-        g = GridFunction.sample(bump(0.5, 0.3), 0.0, 1.0, 1601)
-        lams = [2.0**k for k in range(4, 11)]
-        rep = bilinear_oscillatory_decay(psi_swapped, 2, lams, f, g, I1, I2)
-        assert rep.fitted["epsilon_emp"] > 0.0
-
-
-class TestMixedDerivativeFloor:
-    def test_tau_zero_degenerate(self):
-        P = Polynomial.curve([0, 1.0])
-        grid = (np.linspace(1.1, 1.8, 9), np.linspace(-0.95, -0.6, 9))
-        min_abs, ratio = mixed_derivative_floor_Q(P, 2, 8, 0.0, 2.0**-8, grid)
-        assert min_abs == 0.0
-
-    def test_l2_floor_positive(self):
-        P = Polynomial.curve([0, 1.0])
-        tau, b2 = 0.1, 2.0**-8
-        grid = (np.linspace(1.2, 1.8, 9), np.linspace(-0.95, -0.65, 9))
-        min_abs, ratio = mixed_derivative_floor_Q(P, 2, 8, tau, b2, grid)
-        # unperturbed closed form: |d_u d_v Q| ~ pi |tau| / v^2 >= pi |tau| / 4
-        assert ratio >= math.pi / 4 * 0.8
-
-    def test_perturbed_close_to_unperturbed(self):
-        tau, b2, j = 0.1, 2.0**-10, 10
-        grid = (np.linspace(1.2, 1.8, 7), np.linspace(-0.95, -0.65, 7))
-        base = mixed_derivative_floor_Q(Polynomial.curve([0, 1.0]), 2, j, tau, b2, grid)[1]
-        eps = 2.0**-30 * 2.0**j / 48.0
-        pert = mixed_derivative_floor_Q(Polynomial.curve([0, 1.0, eps]), 2, j, tau, b2, grid)[1]
-        assert abs(pert - base) <= 2.0**-15
-
-    def test_band_membership_enforced(self):
-        P = Polynomial.curve([0, 1.0])
-        grid = (np.linspace(0.2, 1.8, 5), np.linspace(-0.9, -0.6, 5))
-        with pytest.raises(ValueError, match="band"):
-            mixed_derivative_floor_Q(P, 2, 8, 0.1, 2.0**-8, grid)
-
-
 class TestQPerturbation:
     def test_monomial_gives_zero(self):
         P = Polynomial.curve([0, 1.0])
@@ -705,3 +546,8 @@ class TestQPerturbation:
         Q = q_perturbation(P, 2, 3)
         assert Q.coefficient(3) == pytest.approx(2.0 ** (2 * (1 - 3) + 3 * (2 - 3)), rel=1e-12)
 
+    def test_small_cubic_gives_small_perturbation(self):
+        # a_3 chosen so ||Q_2||_{D_K} <= 2^-20 at j = 10
+        eps = 2.0**-10 / 48.0
+        Q = q_perturbation(Polynomial.curve([0, 1.0, eps]), 2, 10)
+        assert max(abs(c) for c in Q.coeffs) * 48 <= 2.0**-19

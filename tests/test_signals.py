@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from curvelab.signals import (
     GridFunction,
     _one_sided_max_avg,
-    _trapezoid_weights,
     hl_maximal,
     littlewood_paley_piece,
     lp_norm,
@@ -14,7 +13,6 @@ from curvelab.signals import (
     phi_hat,
     rho,
     theta,
-    weak_lp_quasinorm,
 )
 
 
@@ -83,48 +81,6 @@ class TestLpNorm:
         f = GridFunction(0, 1, np.ones(10))
         with pytest.raises(ValueError):
             lp_norm(f, 0.0)
-
-
-class TestWeakLp:
-    def test_indicator(self):
-        f = GridFunction.indicator(0, 1, -0.5, 1.5, 4001)
-        assert weak_lp_quasinorm(f, 2) == pytest.approx(1.0, abs=3 * f.step)
-
-    def test_inverse_sqrt(self):
-        # lambda |{x : x^{-1/2} >= lambda}|^{1/2} = 1 for all lambda >= 1;
-        # start the grid where every level set spans many cells
-        n = 200001
-        xs = np.linspace(1e-3, 1.0, n)
-        f = GridFunction(1e-3, 1.0, xs**-0.5)
-        val = weak_lp_quasinorm(f, 2)
-        assert val == pytest.approx(1.0, rel=0.05)
-
-    def test_zero(self):
-        f = GridFunction(0, 1, np.zeros(64))
-        assert weak_lp_quasinorm(f, 2) == 0.0
-
-    @given(
-        st.lists(
-            st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0]), st.floats(min_value=-3, max_value=3, allow_nan=False)),
-            min_size=2, max_size=40,
-        ),
-        st.sampled_from([0.5, 1.0, 2.0, 3.0]),
-    )
-    def test_matches_definition(self, vals, p):
-        # values drawn mostly from a few magnitudes make many level sets tie;
-        # the definition: max over sample magnitudes lam > 0 of
-        # lam * (trapezoid measure of {|f| >= lam})^(1/p)
-        f = GridFunction(0, 1, np.asarray(vals))
-        mag = np.abs(f.values)
-        w = _trapezoid_weights(f.n) * f.step
-        levels = [lam * np.sum(w[mag >= lam]) ** (1.0 / p) for lam in mag if lam > 0]
-        assert weak_lp_quasinorm(f, p) == pytest.approx(max(levels, default=0.0), rel=1e-12)
-
-    @given(st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=8, max_size=64))
-    def test_chebyshev_inequality(self, vals):
-        f = GridFunction(0, 1, np.asarray(vals))
-        for p in (0.5, 1.0, 2.0):
-            assert weak_lp_quasinorm(f, p) <= lp_norm(f, p) * (1 + 1e-9) + 1e-12
 
 
 class TestLittlewoodPaley:
