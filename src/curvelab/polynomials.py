@@ -1,5 +1,5 @@
-"""Polynomial arithmetic, real root isolation with multiplicities, and
-sublevel/level-set measure estimation.
+"""Polynomial arithmetic, real roots with multiplicities from clusters of the
+companion eigenvalues, and sublevel/level-set measure estimation.
 
 `bisect` and `bands` are the one bracketed solver and the one band finder
 behind every root, crossing, inverse and band search in the package.
@@ -78,7 +78,7 @@ class Polynomial:
         return 0.0
 
     def eval(self, t):
-        """Horner evaluation; accepts scalars or numpy arrays.
+        """Horner evaluation; accepts scalars or numpy arrays, real or complex.
 
         A Python float or int (np.float64 included) takes a plain-float loop
         with the same arithmetic as the array path: from 0.0, multiply by t
@@ -91,12 +91,13 @@ class Polynomial:
             for c in reversed(self.coeffs):
                 out = out * t + c
             return out
-        t = np.asarray(t, dtype=float)
+        t = np.asarray(t)
+        t = t.astype(complex if t.dtype.kind == "c" else float, copy=False)
         out = np.zeros_like(t)
         for c in reversed(self.coeffs):
             out = out * t + c
         if out.ndim == 0:
-            return float(out)
+            return out.item()
         return out
 
     __call__ = eval
@@ -189,13 +190,6 @@ def truncate_term(P: Polynomial, l: int) -> Polynomial:
     return Polynomial(cs)
 
 
-def _effective_degree(P: Polynomial) -> int:
-    for k in range(P.degree, -1, -1):
-        if abs(P.coeffs[k]) > 0.0:
-            return k
-    return -1
-
-
 def _newton_polish(P: Polynomial, r: float, lo: float, hi: float) -> float:
     dP = P.derivative()
     for _ in range(60):
@@ -215,49 +209,19 @@ def _newton_polish(P: Polynomial, r: float, lo: float, hi: float) -> float:
     return r
 
 
-def _root_order(P: Polynomial, r: float, tol_order: float, max_order: int) -> int:
-    p = P
-    for m in range(1, max_order + 1):
-        p = p.derivative()
-        if abs(p.eval(r)) > tol_order:
-            return m
-    return max_order
-
-
-def _roots_recursive(P: Polynomial, lo: float, hi: float, tol: float) -> list:
-    deg = _effective_degree(P)
-    if deg <= 0:
-        return []
-    if deg == 1:
-        r = -P.coeffs[0] / P.coeffs[1]
-        return [r] if lo <= r <= hi else []
-    crit = _roots_recursive(P.derivative(), lo, hi, tol)
-    breaks = sorted({lo, hi, *crit})
-    roots = []
-    vals = [P.eval(x) for x in breaks]
-    for (a, fa), (b, fb) in zip(zip(breaks, vals), zip(breaks[1:], vals[1:])):
-        if fa == 0.0:
-            roots.append(a)
-        if (fa < 0) != (fb < 0) and fa != 0.0 and fb != 0.0:
-            roots.append(_newton_polish(P, bisect(P.eval, a, b), lo, hi))
-    if vals and vals[-1] == 0.0:
-        roots.append(breaks[-1])
-    # even-order roots produce no sign change; they sit at critical points
-    tol_res = max(tol, 1e-12 * (1.0 + P.max_abs_coeff))
-    for c in crit:
-        if abs(P.eval(c)) <= tol_res:
-            roots.append(c)
-    return roots
+_SEGMENT = np.linspace(0.0, 1.0, 65)  # where |P| is sampled between two eigenvalues
 
 
 def real_roots_with_orders(P: Polynomial, interval, tol: float) -> list:
-    """All real roots of P on [lo, hi] with multiplicities.
+    """All real roots of P on [lo, hi] with multiplicities, in ascending order.
 
-    Root isolation walks the derivative chain: between consecutive critical
-    points P is monotone (bisection + Newton finds sign-change roots), and
-    even-order roots are exactly the critical points where |P| <= tol.
-    The order is the smallest m with |P^(m)(r)| above a coefficient-scaled
-    threshold.
+    The roots of P are the eigenvalues of its companion matrix.  Two of them
+    join when |P| <= tol at 65 points of the segment between them, so each
+    joined cluster stands for one component of {z : |P(z)| <= tol}, where
+    any perturbation of P below tol keeps that many roots.  A cluster whose
+    mean is real and in [lo, hi] is one root; its order is the cluster's
+    size, and it is polished by Newton on P^(order-1), where it is simple.
+    The orders add up to at most the degree of P.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -266,27 +230,31 @@ def real_roots_with_orders(P: Polynomial, interval, tol: float) -> list:
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("empty interval")
-    tol_order = 1e-6 * (1.0 + P.max_abs_coeff)
-    candidates = sorted(_roots_recursive(P, lo, hi, tol))
-    sep = 1e-7 * (hi - lo + 1.0)
-    merged: list = []
-    for r in candidates:
-        if merged and abs(r - merged[-1]) <= sep:
-            if abs(P.eval(r)) < abs(P.eval(merged[-1])):
-                merged[-1] = r
-        else:
-            merged.append(r)
+    z = np.polynomial.polynomial.polyroots(P.coeffs)
+    segments = z[:, None, None] + _SEGMENT * (z[None, :, None] - z[:, None, None])
+    joined = np.all(np.abs(P.eval(segments)) <= tol, axis=2)
+    parent = list(range(z.size))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, k in zip(*np.nonzero(joined)):
+        parent[find(i)] = find(k)
+    clusters: dict = {}
+    for i, root in enumerate(z.tolist()):
+        clusters.setdefault(find(i), []).append(root)
     out = []
-    for r in merged:
-        if abs(P.eval(r)) > tol:
+    for members in clusters.values():
+        mean = sum(members) / len(members)
+        r, order = mean.real, len(members)
+        if abs(mean.imag) > 1e-12 * (1.0 + abs(r)) or not lo <= r <= hi:
             continue
-        order = _root_order(P, r, tol_order, _effective_degree(P))
-        if order > 1:
-            # polish on P^(order-1), where the root is simple
-            r = _newton_polish(P.nth_derivative(order - 1), r, lo, hi)
+        r = _newton_polish(P.nth_derivative(order - 1), r, lo, hi)
         if lo <= r <= hi:
             out.append((r, order))
-    return out
+    return sorted(out)
 
 
 def level_set_measure(g: Callable, h: float, domain, resolution: int = 4096) -> float:

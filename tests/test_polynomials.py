@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from curvelab.polynomials import (
@@ -116,6 +116,21 @@ class TestTruncateTerm:
             truncate_term(Polynomial.curve([0, 1]), 1)
 
 
+def poly_from_roots(locs, orders):
+    coeffs = np.array([1.0])
+    for r, m in zip(locs, orders):
+        for _ in range(m):
+            coeffs = np.convolve(coeffs, [-r, 1.0])
+    return Polynomial(coeffs)
+
+
+# 1-4 roots in [-2, 2] on a grid of 0.01, at least 0.1 apart
+known_roots = st.tuples(
+    st.integers(min_value=-200, max_value=200),
+    st.lists(st.integers(min_value=10, max_value=130), max_size=3),
+).map(lambda t: [k / 100 for k in np.cumsum([t[0], *t[1]]).tolist() if k <= 200])
+
+
 class TestRoots:
     def test_linear(self):
         # P' - 1 for P = t^2
@@ -170,6 +185,30 @@ class TestRoots:
         P = Polynomial(coeffs)
         found = real_roots_with_orders(P, (-3, 3), 1e-7)
         assert sum(o for _, o in found) <= P.degree
+
+    @example(locs=[1.97, 2.0], orders=[2, 2])  # |P| <= 5.1e-8 between them: one root of order 4
+    @example(locs=[-2.0, -1.88], orders=[2, 2])
+    @example(locs=[-2.0, -1.875], orders=[2, 2])
+    @given(known_roots, st.lists(st.integers(min_value=1, max_value=3), min_size=4, max_size=4))
+    def test_orders_match_brute_force_clusters(self, locs, orders):
+        # neighbours form one root when |P| <= tol on a dense grid between
+        # them; otherwise each keeps its own order
+        tol = 1e-7
+        P = poly_from_roots(locs, orders)
+        groups = [[0]]
+        for i in range(1, len(locs)):
+            between = np.linspace(locs[i - 1], locs[i], 4097)
+            if np.max(np.abs(P.eval(between))) <= tol:
+                groups[-1].append(i)
+            else:
+                groups.append([i])
+        found = real_roots_with_orders(P, (-3, 3), tol)
+        assert [o for _, o in found] == [sum(orders[i] for i in g) for g in groups]
+        for (r, _), g in zip(found, groups):
+            if len(g) == 1:
+                assert r == pytest.approx(locs[g[0]], abs=1e-6)
+            else:
+                assert locs[g[0]] <= r <= locs[g[-1]]
 
 
 class TestBisect:
