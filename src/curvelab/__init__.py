@@ -4,13 +4,7 @@ from .polynomials import Polynomial, fit_decay_exponent, level_set_measure, real
 from .report import ExperimentReport
 from .signals import GridFunction, hl_maximal, littlewood_paley_piece, lp_norm
 from .scales import ScalePartition, classify_scales, shifted_scale_set, verify_cardinality_bound
-from .operators import (
-    OperatorResult,
-    apply_M,
-    apply_Tj,
-    multiplier_Mmn,
-    restricted_Tj_alpha,
-)
+from .operators import apply_M, apply_Tj, multiplier_Mmn, restricted_Tj_alpha
 from .oscillatory import (
     PhasePair,
     SmoothFn,
@@ -55,7 +49,6 @@ __all__ = [
     "classify_scales",
     "verify_cardinality_bound",
     "shifted_scale_set",
-    "OperatorResult",
     "apply_Tj",
     "apply_M",
     "restricted_Tj_alpha",

@@ -58,6 +58,11 @@ def subcommand(name, columns, **defaults):
     return deco
 
 
+def _columns(rows, width):
+    """Rows of `width` values as `width` columns, empty ones when there are no rows."""
+    return list(zip(*rows)) or [()] * width
+
+
 _FUNCTION_KEYS = {"gaussian": ("center", "width"), "indicator": ("a", "b"), "ones": ()}
 
 
@@ -87,12 +92,10 @@ def run_classify(cfg, rng):
     P = Polynomial(cfg["coeffs"])
     part = classify_scales(P, int(cfg["N"]), tuple(cfg["j_range"]))
     count, bound, ok = verify_cardinality_bound(part)
-    doc = partition_to_json(part)
-    rows = [{"j": row["j"], "class": row["class"]} for row in doc["classes"]]
+    classes = partition_to_json(part)["classes"]
     runs_ok = all(lo <= hi for lo, hi in part.domination_runs.values())
     return ExperimentReport(
-        name="classify",
-        rows=rows,
+        columns={"j": [c["j"] for c in classes], "class": [c["class"] for c in classes]},
         fitted={"count_good": count, "bound": bound},
         passed=bool(ok and runs_ok),
         flags={"domination_runs": {str(k): list(v) for k, v in part.domination_runs.items()}},
@@ -113,8 +116,8 @@ def _known_order_poly(rng, m):
 
 def levelset_resolution(span, h_min, c_abs, m):
     """Samples needed so the thinnest level band spans >= 8 cells."""
-    width = 2.0 * (h_min / c_abs) ** (1.0 / m)
-    return int(np.clip(math.ceil(8.0 * span / width), 4096, 1 << 21))
+    width = max(2.0 * (h_min / c_abs) ** (1.0 / m), 1e-300)  # thinner bands get the cap anyway
+    return int(np.clip(np.ceil(8.0 * span / width), 4096, 1 << 21))
 
 
 @subcommand(
@@ -125,6 +128,8 @@ def run_levelset(cfg, rng):
     orders = cfg["orders"]
     if not all(m == int(m) >= 1 for m in orders):
         raise ValueError(f"config field 'orders' must hold integers >= 1, got {orders!r}")
+    if not all(h > 0 for h in cfg["h_ladder"]):
+        raise ValueError(f"config field 'h_ladder' must hold positive numbers, got {cfg['h_ladder']!r}")
     jobs = [(int(m), _known_order_poly(rng, int(m))) for m in orders for _ in range(int(cfg["count"]))]
 
     def one(job):
@@ -137,21 +142,29 @@ def run_levelset(cfg, rng):
             for h in cfg["h_ladder"]
         ]
         slope, _, _ = fit_decay_exponent(pts)
-        expected = 1.0 / m
-        return {
-            "order": m,
-            "root": r,
-            "fitted_slope": slope,
-            "expected": expected,
-            "pass": abs(slope - expected) <= 0.1 * expected,
-        }
+        return m, r, slope
 
-    rows = sorted(map(one, jobs), key=lambda row: (row["order"], row["root"]))
+    order, root, slope = _columns(sorted(map(one, jobs), key=lambda row: row[:2]), 3)
+    expected = [1.0 / m for m in order]
+    ok = [abs(s - e) <= 0.1 * e for s, e in zip(slope, expected)]
     return ExperimentReport(
-        name="levelset",
-        rows=rows,
-        fitted={"n_checked": len(rows)},
-        passed=all(r["pass"] for r in rows),
+        columns={"order": order, "root": root, "fitted_slope": slope, "expected": expected, "pass": ok},
+        fitted={"n_checked": len(order)},
+        passed=all(ok),
+    )
+
+
+def _sweep_report(sweep):
+    """The sharpness and rootorder report: one row per delta of the sweep."""
+    n = len(sweep.deltas)
+    return ExperimentReport(
+        columns={
+            "delta": sweep.deltas, "ratio": sweep.ratios, "predicted_exponent": [sweep.predicted] * n,
+            "fitted_slope": [sweep.slope] * n, "pass": [sweep.passed] * n,
+        },
+        fitted={"slope": sweep.slope, "predicted_exponent": sweep.predicted, "r_squared": sweep.r_squared},
+        passed=sweep.passed,
+        flags={"diverges": sweep.slope < 0.0},
     )
 
 
@@ -160,10 +173,10 @@ def run_levelset(cfg, rng):
     d=2, r=0.5, p1=1.0, p2=1.0, deltas=[2.0**-k for k in range(6, 15)], grid_resolution=64,
 )
 def run_sharpness(cfg, rng):
-    return endpoint_scaling_experiment(
+    return _sweep_report(endpoint_scaling_experiment(
         int(cfg["d"]), float(cfg["r"]), float(cfg["p1"]), float(cfg["p2"]),
         cfg["deltas"], grid_resolution=int(cfg["grid_resolution"]),
-    )
+    ))
 
 
 @subcommand(
@@ -180,10 +193,10 @@ def run_rootorder(cfg, rng):
     if not match:
         raise ValueError(f"no root of order {k0} found for P' - 1")
     t0 = max(match, key=abs)
-    return rootorder_scaling_experiment(
+    return _sweep_report(rootorder_scaling_experiment(
         P, t0, k0, float(cfg["r"]), float(cfg["p1"]), float(cfg["p2"]),
         cfg["deltas"], A_big=float(cfg["A_big"]),
-    )
+    ))
 
 
 @subcommand(
@@ -196,9 +209,14 @@ def run_vdc(cfg, rng):
     if len(interval) != 2:
         raise ValueError(f"config field 'interval' must be [lo, hi], got {cfg['interval']!r}")
     u = SmoothFn.from_polynomial(Polynomial(cfg["u_coeffs"]), interval)
-    rep = sublevel_check(u, int(cfg["k"]), cfg["alphas"], interval)
-    rep.passed = bool(rep.fitted["max_ratio"] <= float(cfg["ratio_cap"]))
-    return rep
+    alphas = [float(a) for a in cfg["alphas"]]
+    measures, ratios = sublevel_check(u, int(cfg["k"]), alphas, interval)
+    worst = max(ratios, default=0.0)
+    return ExperimentReport(
+        columns={"alpha": alphas, "measure": measures, "ratio": ratios},
+        fitted={"max_ratio": worst},
+        passed=bool(worst <= float(cfg["ratio_cap"])),
+    )
 
 
 @subcommand(
@@ -209,6 +227,8 @@ def run_stationary(cfg, rng):
     if not all(_numbers(pair) and len(pair) == 2 for pair in cfg["pairs"]):
         raise ValueError(f"config field 'pairs' must hold [xi, eta] pairs, got {cfg['pairs']!r}")
     top = max(cfg["m_list"], default=None)
+    if top is not None and top > 1023:
+        raise ValueError(f"config field 'm_list' puts the phase scale 2^m outside float range at m={top}")
 
     def one(job):
         (xi, eta), m = job
@@ -224,20 +244,17 @@ def run_stationary(cfg, rng):
         t0 = -xi / (2 * eta)
         target = float(rho(t0)) / math.sqrt(2.0 * abs(eta))
         normalized = abs(total) * 2.0 ** (m / 2)
-        rel = abs(normalized - target) / target
-        return {
-            "xi": xi, "eta": eta, "m": m,
-            "normalized": normalized, "target": target, "rel_err": rel,
-            "pass": rel <= float(cfg["rel_tol"]) or m < top,
-        }
+        return xi, eta, m, normalized, target, abs(normalized - target) / target
 
     jobs = [((float(x), float(e)), int(m)) for x, e in cfg["pairs"] for m in cfg["m_list"]]
-    rows = sorted(map(one, jobs), key=lambda r: (r["xi"], r["eta"], r["m"]))
+    xi, eta, m, normalized, target, rel_err = _columns(sorted(map(one, jobs), key=lambda row: row[:3]), 6)
+    ok = [rel <= float(cfg["rel_tol"]) or k < top for rel, k in zip(rel_err, m)]
     return ExperimentReport(
-        name="stationary",
-        rows=rows,
-        fitted={"max_rel_err_at_top_m": max((r["rel_err"] for r in rows if r["m"] == top), default=None)},
-        passed=all(r["pass"] for r in rows),
+        columns={
+            "xi": xi, "eta": eta, "m": m, "normalized": normalized, "target": target, "rel_err": rel_err, "pass": ok,
+        },
+        fitted={"max_rel_err_at_top_m": max((rel for rel, k in zip(rel_err, m) if k == top), default=None)},
+        passed=all(ok),
     )
 
 
@@ -327,17 +344,16 @@ def run_inverse(cfg, rng):
         got = inverse_derivatives(F, x0, n_max)
         for n in range(1, n_max + 1):
             fd = fd_inverse_derivative(P, F, y0, n, h=h)
-            rel = abs(got[n - 1] - fd) / max(abs(fd), 1e-3)
-            rows.append({
-                "poly_index": i, "order": n,
-                "reversion": got[n - 1], "finite_difference": fd,
-                "rel_err": rel, "pass": rel <= float(cfg["rel_tol"]),
-            })
+            rows.append((i, n, got[n - 1], fd, abs(got[n - 1] - fd) / max(abs(fd), 1e-3)))
+    index, order, reversion, finite_difference, rel_err = _columns(rows, 5)
+    ok = [rel <= float(cfg["rel_tol"]) for rel in rel_err]
     return ExperimentReport(
-        name="inverse",
-        rows=rows,
-        fitted={"max_rel_err": max((r["rel_err"] for r in rows), default=None)},
-        passed=all(r["pass"] for r in rows),
+        columns={
+            "poly_index": index, "order": order, "reversion": reversion, "finite_difference": finite_difference,
+            "rel_err": rel_err, "pass": ok,
+        },
+        fitted={"max_rel_err": max(rel_err, default=None)},
+        passed=all(ok),
     )
 
 
@@ -381,18 +397,13 @@ def run_pairs(cfg, rng):
         pair = _make_pair(rng, K, N)
         lo = max(pair.f0.fn(0.6), pair.f1.fn(0.6))
         hi = min(pair.f0.fn(1.9), pair.f1.fn(1.9))
-        rep = perturbation_pair_check(pair, np.linspace(lo, hi, 7))
-        rows.append({
-            "pair_index": i,
-            "dk_distance": rep.fitted["dk_minus_1_distance"],
-            "bound": rep.fitted["bound"],
-            "pass": rep.passed,
-        })
+        rows.append((i, *perturbation_pair_check(pair, np.linspace(lo, hi, 7))))
+    index, distance, bound = _columns(rows, 3)
+    ok = [bool(d <= b) for d, b in zip(distance, bound)]
     return ExperimentReport(
-        name="pairs",
-        rows=rows,
-        fitted={"max_distance": max((r["dk_distance"] for r in rows), default=None)},
-        passed=all(r["pass"] for r in rows),
+        columns={"pair_index": index, "dk_distance": distance, "bound": bound, "pass": ok},
+        fitted={"max_distance": max(distance, default=None)},
+        passed=all(ok),
     )
 
 
@@ -407,27 +418,19 @@ def run_whitney(cfg, rng):
             return None
         cells = whitney_decompose(omega)
         props = whitney_properties(cells, omega)
-        pair_rep = whitney_pair_properties(cells, omega, n_pairs=100, seed=seed)
-        return {
-            "case": seed,
-            "cells": len(cells),
-            "disjoint_violations": props["disjoint"],
-            "sandwich_violations": props["sandwich"],
-            "coverage_ok": props["coverage_ok"],
-            "pairs_pass": pair_rep.passed,
-        }
+        pairs_ok = whitney_pair_properties(cells, omega, n_pairs=100, seed=seed)["ok"]
+        return seed, len(cells), props["disjoint"], props["sandwich"], props["coverage_ok"], pairs_ok
 
     base = int(cfg["seed"])
     rows = [r for r in map(one, range(base, base + int(cfg["count"]))) if r is not None]
-    ok = all(
-        r["disjoint_violations"] == 0 and r["sandwich_violations"] == 0 and r["coverage_ok"] and r["pairs_pass"]
-        for r in rows
-    )
+    case, cells, disjoint, sandwich, coverage_ok, pairs_ok = _columns(rows, 6)
     return ExperimentReport(
-        name="whitney",
-        rows=rows,
+        columns={
+            "case": case, "cells": cells, "disjoint_violations": disjoint, "sandwich_violations": sandwich,
+            "coverage_ok": coverage_ok, "pairs_pass": pairs_ok,
+        },
         fitted={"cases": len(rows)},
-        passed=ok,
+        passed=not any(disjoint) and not any(sandwich) and all(coverage_ok) and all(pairs_ok),
     )
 
 
@@ -471,16 +474,15 @@ def run_tiles(cfg, rng):
                 if float(np.min(Mp.values[mask])) < thr:
                     contain = False
         ok = res_size <= thr * (1 + 1e-9) and disjoint and contain
-        rows.append({
-            "run": run, "which": which, "n_tiles": len(S), "n_trees": len(forest),
-            "residual_size": res_size, "threshold": thr,
-            "tops_disjoint": disjoint, "containment_ok": contain, "pass": ok,
-        })
+        rows.append((run, which, len(S), len(forest), res_size, thr, disjoint, contain, ok))
+    run, which, n_tiles, n_trees, res_size, thr, disjoint, contain, ok = _columns(rows, 9)
     return ExperimentReport(
-        name="tiles",
-        rows=rows,
+        columns={
+            "run": run, "which": which, "n_tiles": n_tiles, "n_trees": n_trees, "residual_size": res_size,
+            "threshold": thr, "tops_disjoint": disjoint, "containment_ok": contain, "pass": ok,
+        },
         fitted={"runs": len(rows)},
-        passed=all(r["pass"] for r in rows),
+        passed=all(ok),
         flags={"last_forest": forest_to_json(*last_forest)},
     )
 
@@ -505,12 +507,10 @@ def run_apply_T(cfg, rng):
             f"config fields 'j' and 'grid' put the kernel width 1.5*2^-j below 4 grid steps"
             f" of {f.step:.3g} at j={j}"
         )
-    res = apply_Tj(f, g, P, j, nodes_per_component=int(cfg["nodes"]))
-    rows = [{"x": float(x), "value": float(v)} for x, v in zip(res.output.x, res.output.values)]
+    out = apply_Tj(f, g, P, j, nodes_per_component=int(cfg["nodes"]))
     return ExperimentReport(
-        name="apply-T",
-        rows=rows,
-        fitted={"sup_norm": float(np.max(np.abs(res.output.values)))},
+        columns={"x": out.x, "value": out.values},
+        fitted={"sup_norm": float(np.max(np.abs(out.values)))},
         passed=True,
     )
 
@@ -526,10 +526,8 @@ def run_apply_M(cfg, rng):
     P = Polynomial(cfg["coeffs"])
     f, g = _build_grid_function(cfg, "f"), _build_grid_function(cfg, "g")
     out = apply_M(f, g, P, cfg["epsilons"])
-    rows = [{"x": float(x), "value": float(v)} for x, v in zip(out.x, out.values)]
     return ExperimentReport(
-        name="apply-M",
-        rows=rows,
+        columns={"x": out.x, "value": out.values},
         fitted={"sup_norm": float(np.max(out.values))},
         passed=True,
     )
@@ -562,13 +560,12 @@ def run_multiplier(cfg, rng):
                 f"config fields 'm_list', 'xi_band', 'eta_band', 'j' and 'coeffs' set the phase scale;"
                 f" at m={m}: {exc}"
             ) from None
-        rows.append({"m": m, "abs_value": val, "normalized": val * 2.0 ** (m / 2)})
-    top = max((r["normalized"] for r in rows), default=None)
+        rows.append((m, val, val * 2.0 ** (m / 2)))
+    m, abs_value, normalized = _columns(rows, 3)
     return ExperimentReport(
-        name="multiplier",
-        rows=rows,
-        fitted={"max_normalized": top},
-        passed=all(r["normalized"] < 10.0 for r in rows),
+        columns={"m": m, "abs_value": abs_value, "normalized": normalized},
+        fitted={"max_normalized": max(normalized, default=None)},
+        passed=all(v < 10.0 for v in normalized),
     )
 
 
@@ -584,8 +581,8 @@ def _parse_override(text):
 
 
 def _kind(value) -> str:
-    """The JSON kind of a config value: number, list, object, or another."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """The JSON kind of a config value: number (finite only), list, object, or another."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
         return "number"
     return {list: "list", dict: "object"}.get(type(value), type(value).__name__)
 
@@ -657,7 +654,14 @@ def main(argv=None) -> int:
         cfg = _config(defaults, args)
         start = time.perf_counter()
         rep = run(cfg, np.random.default_rng(int(cfg["seed"])))
-        if not rep.rows:
+        lengths = {len(col) for col in rep.columns.values()}
+        if list(rep.columns) != columns.split(",") or len(lengths) != 1:
+            raise AssertionError(
+                f"subcommand {name!r} returned columns {','.join(rep.columns)} of lengths {sorted(lengths)},"
+                f" not its declared {columns}"
+            )
+        n_rows = lengths.pop()
+        if not n_rows:
             raise ValueError("no cases checked")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -665,13 +669,12 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rep.runtime_s = time.perf_counter() - start
-    rep.config = cfg
+    rep.name, rep.runtime_s, rep.config = name, time.perf_counter() - start, cfg
     os.makedirs(args.out, exist_ok=True)
     rep.to_csv(os.path.join(args.out, f"{name}.csv"))
     rep.to_json(os.path.join(args.out, f"{name}.json"))
     status = "PASS" if rep.passed else "FAIL"
-    print(f"{name}: {status} ({len(rep.rows)} rows, {rep.runtime_s:.2f}s)")
+    print(f"{name}: {status} ({n_rows} rows, {rep.runtime_s:.2f}s)")
     return 0 if rep.passed else 2
 
 

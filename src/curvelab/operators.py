@@ -13,7 +13,6 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .polynomials import Polynomial, bands
 from .signals import GridFunction, _quad_nodes, phi_hat, rho
 
 __all__ = [
-    "OperatorResult",
     "apply_Tj",
     "apply_M",
     "restricted_Tj_alpha",
@@ -54,13 +52,6 @@ def _helper_pool(helpers: int):
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_helper_pool.cache_clear)
-
-
-@dataclass
-class OperatorResult:
-    output: GridFunction
-    resolution_warning: bool = False
-    extras: dict = field(default_factory=dict)
 
 
 def below_resolution_floor(j: int, step: float) -> bool:
@@ -151,17 +142,13 @@ def apply_Tj(
     P: Polynomial,
     j: int,
     nodes_per_component: int = 512,
-) -> OperatorResult:
+) -> GridFunction:
     """T_j(f,g)(x) = int f(x-t) g(x-P(t)) rho_j(t) dt on the grid of f."""
     if nodes_per_component < 1:
         raise ValueError(f"nodes_per_component must be at least 1, got {nodes_per_component}")
     P.require_no_linear_term()
-    scale = 2.0 ** (-j)
-    warn = below_resolution_floor(j, f.step)
-    x = f.x
-    nodes_per_unit = nodes_per_component / 1.5
-    vals = _bilinear_sum(f, g, P, scale, x, _COMPONENTS, nodes_per_unit)
-    return OperatorResult(output=f.with_values(vals), resolution_warning=warn)
+    vals = _bilinear_sum(f, g, P, 2.0 ** (-j), f.x, _COMPONENTS, nodes_per_component / 1.5)
+    return f.with_values(vals)
 
 
 def apply_M(
@@ -192,28 +179,20 @@ def restricted_Tj_alpha(
     j: int,
     alpha: float,
     nodes_per_component: int = 512,
-) -> OperatorResult:
+) -> GridFunction:
     """T_j restricted to E_alpha = {s in supp rho : alpha <= |dP(2^-j s)/ds| <= 2 alpha}."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     P.require_no_linear_term()
     scale = 2.0 ** (-j)
     dP = P.derivative()
-    x = f.x
-    nodes_per_unit = nodes_per_component / 1.5
 
     def in_band(s):
         v = np.abs(scale * dP.eval(scale * s))  # |d/ds P(2^-j s)|
         return (v >= alpha) & (v <= 2.0 * alpha)
 
-    subs = []
-    measure = 0.0
-    for a, b in _COMPONENTS:
-        found = bands(in_band, a, b, 4096, (b - a) * 1e-12)
-        subs.extend(found)
-        measure += sum(hi - lo for lo, hi in found)
-    vals = _bilinear_sum(f, g, P, scale, x, subs, nodes_per_unit)
-    return OperatorResult(output=f.with_values(vals), extras={"band_measure": measure})
+    subs = [sub for a, b in _COMPONENTS for sub in bands(in_band, a, b, 4096, (b - a) * 1e-12)]
+    return f.with_values(_bilinear_sum(f, g, P, scale, f.x, subs, nodes_per_component / 1.5))
 
 
 def multiplier_Mmn(

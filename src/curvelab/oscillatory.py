@@ -17,7 +17,6 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .polynomials import Polynomial, _eval_vec, bisect, truncate_term
-from .report import ExperimentReport
 from . import polynomials as _poly
 
 __all__ = [
@@ -293,8 +292,9 @@ def oscillatory_integral(
 
 def sublevel_check(
     u: SmoothFn, k: int, alpha_list: Sequence[float], interval=None, resolution: int = 4096
-) -> ExperimentReport:
-    """Measure |{ |u| <= alpha }| against the alpha^(1/k) law.
+) -> tuple:
+    """(measures, ratios): |{ |u| <= alpha }| for each alpha, and its ratio
+    to alpha^(1/k).
 
     Requires |u^(k)| >= 1 on the interval, verified by sampling.  The
     resolution must out-resolve the thinnest band (width ~ alpha^(1/k) near
@@ -310,20 +310,8 @@ def sublevel_check(
         dk = np.abs(interp.deriv(k)(xs))
     if dk.min() < 1.0 - 1e-9:
         raise ValueError(f"derivative floor violated: min |u^({k})| = {dk.min():.3g} < 1")
-    rows = []
-    worst = 0.0
-    for alpha in alpha_list:
-        measure = _poly.level_set_measure(u.fn, float(alpha), (a, b), resolution=resolution)
-        ratio = measure / float(alpha) ** (1.0 / k)
-        worst = max(worst, ratio)
-        rows.append({"alpha": float(alpha), "measure": measure, "ratio": ratio})
-    return ExperimentReport(
-        name="sublevel_check",
-        rows=rows,
-        fitted={"max_ratio": worst},
-        passed=None,
-        config={"k": k, "interval": [a, b]},
-    )
+    measures = [_poly.level_set_measure(u.fn, float(alpha), (a, b), resolution=resolution) for alpha in alpha_list]
+    return measures, [m / float(alpha) ** (1.0 / k) for m, alpha in zip(measures, alpha_list)]
 
 
 # -- scale shift and perturbation ----------------------------------------------
@@ -502,12 +490,13 @@ def inverse_derivatives(F: SmoothFn, x0: float, n_max: int) -> list:
 # -- (K, N)-pairs ----------------------------------------------------------------
 
 
-def perturbation_pair_check(pair: PhasePair, sample_points: Sequence[float]) -> ExperimentReport:
-    """D_{K-1} distance of the two inverse functions over the sampled range.
+def perturbation_pair_check(pair: PhasePair, sample_points: Sequence[float]) -> tuple:
+    """(distance, bound): the D_{K-1} distance of the two inverse functions
+    over the sampled range, and the 2^(-N/3) bound it should stay below.
 
     Validates the pair invariants first: (i) derivative floors >= 1/2,
     (ii) D_K norms <= 10, (iii) D_K distance <= 2^-N; failure names the
-    offending condition.  The pass flag asserts the 2^(-N/3) inverse bound.
+    offending condition.
     """
     K, N = pair.K, pair.N
     if K < 2:
@@ -529,21 +518,11 @@ def perturbation_pair_check(pair: PhasePair, sample_points: Sequence[float]) -> 
     if failures:
         raise ValueError("(K,N)-pair invariant failed: " + "; ".join(failures))
 
-    rows = []
     norm = 0.0
     for a in sample_points:
         t0 = inverse_function(pair.f0, float(a))
         t1 = inverse_function(pair.f1, float(a))
         d0 = [t0, *inverse_derivatives(pair.f0, t0, K - 1)]
         d1 = [t1, *inverse_derivatives(pair.f1, t1, K - 1)]
-        diffs = [abs(u - v) for u, v in zip(d0, d1)]
-        norm = max(norm, max(diffs))
-        rows.append({"a": float(a), **{f"diff_n{n}": diffs[n] for n in range(K)}})
-    bound = 2.0 ** (-N / 3.0)
-    return ExperimentReport(
-        name="perturbation_pair_check",
-        rows=rows,
-        fitted={"dk_minus_1_distance": norm, "bound": bound, "dk_distance_inputs": dist},
-        passed=bool(norm <= bound),
-        config={"K": K, "N": N},
-    )
+        norm = max(norm, *(abs(u - v) for u, v in zip(d0, d1)))
+    return norm, 2.0 ** (-N / 3.0)

@@ -1,9 +1,10 @@
-"""Tabular experiment records with CSV/JSON serialization.
+"""The CLI's experiment record: CSV columns plus the JSON summary.
 
-The rows go to the CSV only, where floats print with 17 significant digits
-so they round-trip float64 exactly.  The JSON holds what the CSV cannot: the
-fitted values, the verdict, the flags, the runtime and the config echo used
-for replay.
+Only `curvelab.cli` builds these; the library returns plain values.  The
+columns go to the CSV only, one header cell per key, where floats print with
+17 significant digits so they round-trip float64 exactly.  The JSON holds
+what the CSV cannot: the fitted values, the verdict, the flags, the runtime
+and the config echo used for replay.
 """
 
 from __future__ import annotations
@@ -28,28 +29,24 @@ def format_value(v) -> str:
 
 @dataclass
 class ExperimentReport:
-    name: str
-    rows: list = field(default_factory=list)
+    columns: dict  # CSV header cell -> the column's values, a list or an array
     fitted: dict = field(default_factory=dict)
     passed: Optional[bool] = None
     flags: dict = field(default_factory=dict)
+    name: str = ""
     runtime_s: float = 0.0
     config: dict = field(default_factory=dict)
 
-    @property
-    def columns(self) -> list:
-        return list(self.rows[0].keys()) if self.rows else []
-
     def to_csv(self, path) -> None:
-        columns = self.columns
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values()]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(columns)
-            for row in self.rows:
-                w.writerow([format_value(row.get(c)) for c in columns])
+            w.writerow(self.columns)
+            for row in zip(*cells):
+                w.writerow([format_value(v) for v in row])
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self, path) -> None:
+        doc = {
             "name": self.name,
             "fitted": self.fitted,
             "passed": self.passed,
@@ -57,10 +54,8 @@ class ExperimentReport:
             "runtime_s": self.runtime_s,
             "config": self.config,
         }
-
-    def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, default=_jsonable)
+            json.dump(doc, fh, indent=1, default=_jsonable)
 
 
 def _jsonable(v):

@@ -10,13 +10,11 @@ keeps the d-sweeps honest down to d = 2^-16 without million-node grids.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .polynomials import Polynomial, bisect, fit_decay_exponent, real_roots_with_orders
-from .report import ExperimentReport
 from .signals import GridFunction, _quad_nodes, lp_norm, rho
 
 __all__ = [
@@ -28,10 +26,24 @@ __all__ = [
     "endpoint_polynomial",
     "predicted_endpoint_exponent",
     "predicted_rootorder_exponent",
+    "Sweep",
 ]
 
 _GL64 = np.polynomial.legendre.leggauss(64)
 _N_WINDOW = 33  # trapezoid nodes across the window in the scaling experiments
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """Window ratios over a delta ladder and their fitted log-log slope,
+    which passes within 0.05 of the predicted exponent."""
+
+    deltas: list
+    ratios: list
+    slope: float
+    predicted: float
+    r_squared: float
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -163,35 +175,20 @@ def predicted_endpoint_exponent(d: int, r: float) -> float:
     return 1.0 / (r * d) + 1.0 - 1.0 / r
 
 
-def _delta_sweep(name, instances, value, e_pred, config) -> ExperimentReport:
+def _delta_sweep(instances, value, e_pred, r, p1, p2) -> Sweep:
     """Window-restricted ratio ||value||_{L^r(window)} / (||f||_p1 ||g||_p2)
-    for each instance in the order given, r, p1 and p2 read from config, with
-    the fitted slope against the predicted exponent e_pred."""
-    r, p1, p2 = config["r"], config["p1"], config["p2"]
-    start = time.perf_counter()
-    rows = []
+    for each instance in the order given, with the fitted slope against the
+    predicted exponent e_pred."""
+    deltas, ratios = [], []
     for inst in instances:
         w_lo, w_hi = inst.window
         xs, wq = _quad_nodes(w_lo, w_hi, _N_WINDOW)
         vals = np.array([value(inst, float(x)) for x in xs])
         norm_r = float(np.sum(wq * vals**r)) ** (1.0 / r)
-        ratio = norm_r / (lp_norm(inst.f, p1) * lp_norm(inst.g, p2))
-        rows.append({"delta": inst.delta, "ratio": ratio})
-    slope, _, r2 = fit_decay_exponent([(row["delta"], row["ratio"]) for row in rows])
-    ok = abs(slope - e_pred) <= 0.05
-    for row in rows:
-        row["predicted_exponent"] = e_pred
-        row["fitted_slope"] = slope
-        row["pass"] = ok
-    return ExperimentReport(
-        name=name,
-        rows=rows,
-        fitted={"slope": slope, "predicted_exponent": e_pred, "r_squared": r2},
-        passed=ok,
-        flags={"diverges": slope < 0.0},
-        runtime_s=time.perf_counter() - start,
-        config=config,
-    )
+        deltas.append(inst.delta)
+        ratios.append(norm_r / (lp_norm(inst.f, p1) * lp_norm(inst.g, p2)))
+    slope, _, r2 = fit_decay_exponent(list(zip(deltas, ratios)))
+    return Sweep(deltas, ratios, slope, e_pred, r2, abs(slope - e_pred) <= 0.05)
 
 
 def endpoint_scaling_experiment(
@@ -201,7 +198,7 @@ def endpoint_scaling_experiment(
     p2: float,
     delta_list,
     grid_resolution: int = 64,
-) -> ExperimentReport:
+) -> Sweep:
     """Window-restricted ratio ||T_0||_{L^r(window)} / (||f||_p1 ||g||_p2) over
     a delta ladder, largest delta first, with the fitted slope against the
     predicted exponent."""
@@ -209,9 +206,9 @@ def endpoint_scaling_experiment(
     deltas = [float(x) for x in delta_list]
     if len(deltas) < 5:
         raise ValueError("need at least 5 deltas")
-    instances = (build_counterexample_endpoint(d, delta, grid_resolution) for delta in sorted(deltas, reverse=True))
-    config = {"d": d, "r": r, "p1": p1, "p2": p2, "grid_resolution": grid_resolution}
-    return _delta_sweep("endpoint_scaling", instances, t0_endpoint_value, predicted_endpoint_exponent(d, r), config)
+    # built before the prediction, which divides by d, so a bad d is named
+    instances = [build_counterexample_endpoint(d, delta, grid_resolution) for delta in sorted(deltas, reverse=True)]
+    return _delta_sweep(instances, t0_endpoint_value, predicted_endpoint_exponent(d, r), r, p1, p2)
 
 
 def build_counterexample_rootorder(
@@ -232,6 +229,8 @@ def build_counterexample_rootorder(
         raise ValueError(f"polynomial has a linear term: a_1 = {P.coefficient(1)!r}")
     if t0 == 0.0:
         raise ValueError("t0 must be nonzero")
+    if not A_big > 0:
+        raise ValueError(f"A_big must be positive, got {A_big}")
     if not 0 < delta < abs(t0) / 8:
         raise ValueError("delta must be small next to |t0|")
     Q = P.derivative().sub_constant(1.0)
@@ -298,14 +297,11 @@ def rootorder_scaling_experiment(
     p2: float,
     delta_list,
     A_big: float = 20.0,
-) -> ExperimentReport:
+) -> Sweep:
     """Fitted slope of the window-restricted kernel lower bound against
     1/(r (k0+1)) + 1 - 1/r, smallest delta first."""
     _check_hoelder(r, p1, p2)
     instances = (
         build_counterexample_rootorder(P, t0, k0, delta, A_big) for delta in sorted(float(x) for x in delta_list)
     )
-    config = {"k0": k0, "t0": t0, "r": r, "p1": p1, "p2": p2, "A_big": A_big}
-    return _delta_sweep(
-        "rootorder_scaling", instances, rootorder_kernel_value, predicted_rootorder_exponent(k0, r), config
-    )
+    return _delta_sweep(instances, rootorder_kernel_value, predicted_rootorder_exponent(k0, r), r, p1, p2)

@@ -34,8 +34,8 @@ def test_criterion_1_endpoint_exponent():
     deltas = [2.0**-k for k in range(6, 15)]
     slopes = {}
     for r in (0.40, 0.50, 0.60):
-        rep = endpoint_scaling_experiment(2, r, 2 * r, 2 * r, deltas)
-        slopes[r] = rep.fitted["slope"]
+        sweep = endpoint_scaling_experiment(2, r, 2 * r, 2 * r, deltas)
+        slopes[r] = sweep.slope
     elapsed = time.perf_counter() - start
     within = all(abs(slopes[r] - predicted_endpoint_exponent(2, r)) <= 0.05 for r in slopes)
     sign_change = slopes[0.40] < 0.0 < slopes[0.60] and abs(slopes[0.50]) <= 0.05
@@ -117,9 +117,9 @@ def test_criterion_4_rootorder_exponent():
     deltas = [2.0**-k for k in range(8, 17)]
     results = {}
     for r in (1.0, 2.0 / 3.0):
-        rep = rootorder_scaling_experiment(P, t0, 1, r, 2 * r, 2 * r, deltas)
+        sweep = rootorder_scaling_experiment(P, t0, 1, r, 2 * r, 2 * r, deltas)
         pred = 1.0 / (r * 2.0) + 1.0 - 1.0 / r
-        results[r] = (rep.fitted["slope"], pred)
+        results[r] = (sweep.slope, pred)
     ok = all(abs(s - p) <= 0.05 for s, p in results.values())
     report(4, ok, f"k0=1 slopes {({round(r, 3): round(v[0], 4) for r, v in results.items()})} within 0.05 of 1/(2r)+1-1/r")
 
@@ -128,10 +128,10 @@ def test_criterion_5_van_der_corput():
     # closed form: u = t^2/2 with |u''| = 1
     u = SmoothFn.from_polynomial(Polynomial([0, 0, 0.5]), (-1.0, 1.0))
     alphas = [2.0**-k for k in range(2, 17)]
-    rep = sublevel_check(u, 2, alphas, (-1.0, 1.0), resolution=1 << 16)
+    measures, _ = sublevel_check(u, 2, alphas, (-1.0, 1.0), resolution=1 << 16)
     worst_rel = max(
-        abs(row["measure"] - 2.0 * math.sqrt(2.0 * row["alpha"])) / (2.0 * math.sqrt(2.0 * row["alpha"]))
-        for row in rep.rows
+        abs(measure - 2.0 * math.sqrt(2.0 * alpha)) / (2.0 * math.sqrt(2.0 * alpha))
+        for measure, alpha in zip(measures, alphas)
     )
     closed_ok = worst_rel <= 0.01
 
@@ -150,8 +150,8 @@ def test_criterion_5_van_der_corput():
             uk = SmoothFn.from_polynomial(P, (-2.0, 2.0))
             sup_du = float(np.max(np.abs(P.derivative().eval(np.linspace(-2, 2, 1025)))))
             res = int(np.clip(math.ceil(4.0 * 4.0 * max(sup_du, 1.0) / min(alphas_k)), 4096, 1 << 20))
-            rep_k = sublevel_check(uk, k, alphas_k, (-2.0, 2.0), resolution=res)
-            caps[k] = max(caps[k], rep_k.fitted["max_ratio"])
+            _, ratios = sublevel_check(uk, k, alphas_k, (-2.0, 2.0), resolution=res)
+            caps[k] = max(caps[k], *ratios)
     bounded = all(caps[k] <= 2 * math.e * math.factorial(k) ** (1.0 / k) for k in caps)
     ok = closed_ok and bounded
     report(
@@ -166,7 +166,7 @@ def test_criterion_6_stationary_phase_normalization():
     run, _, defaults = SUBCOMMANDS["stationary"]
     rep = run({**defaults, "m_list": [14], "rel_tol": 0.02}, np.random.default_rng(0))
     worst = rep.fitted["max_rel_err_at_top_m"]
-    ok = rep.passed and len(rep.rows) == 3
+    ok = rep.passed and len(rep.columns["m"]) == 3
     report(6, ok, f"normalized magnitude within {worst * 100:.2f}% of rho(t0)/sqrt(2|eta|) at m=14, 3 pairs")
 
 
@@ -177,14 +177,12 @@ def test_criterion_7_inverse_perturbation():
         pair = _make_pair(rng, 6, 30)
         lo = max(pair.f0.fn(0.6), pair.f1.fn(0.6))
         hi = min(pair.f0.fn(1.9), pair.f1.fn(1.9))
-        rep = perturbation_pair_check(pair, np.linspace(lo, hi, 7))
-        worst = max(worst, rep.fitted["dk_minus_1_distance"])
+        worst = max(worst, perturbation_pair_check(pair, np.linspace(lo, hi, 7))[0])
     ident = _make_pair(rng, 6, 30)
     from curvelab.oscillatory import PhasePair
 
     same = PhasePair(f0=ident.f0, f1=ident.f0, K=6, N=30)
-    rep0 = perturbation_pair_check(same, [ident.f0.fn(1.2)])
-    ok = worst <= 2.0**-10 and rep0.fitted["dk_minus_1_distance"] == 0.0
+    ok = worst <= 2.0**-10 and perturbation_pair_check(same, [ident.f0.fn(1.2)])[0] == 0.0
     report(7, ok, f"50 (6,30)-pairs: max D_5 inverse distance {worst:.3e} <= 2^-10; identical pair = 0")
 
 
@@ -228,8 +226,7 @@ def test_criterion_9_whitney_suite():
         if props["disjoint"] or props["sandwich"] or not props["coverage_ok"]:
             violations += 1
             continue
-        pair_rep = whitney_pair_properties(cells, omega, n_pairs=50, seed=seed)
-        if not pair_rep.passed:
+        if not whitney_pair_properties(cells, omega, n_pairs=50, seed=seed)["ok"]:
             violations += 1
     elapsed = time.perf_counter() - start
     ok = violations == 0
@@ -244,9 +241,9 @@ def test_criterion_10_greedy_selection():
     start = time.perf_counter()
     run, _, defaults = SUBCOMMANDS["tiles"]
     rep = run({**defaults, "runs": 500}, np.random.default_rng(10))
-    failures = sum(not row["pass"] for row in rep.rows)
+    failures = sum(not ok for ok in rep.columns["pass"])
     elapsed = time.perf_counter() - start
-    ok = rep.passed and len(rep.rows) == 500
+    ok = rep.passed and len(rep.columns["run"]) == 500
     report(10, ok, f"500 randomized tile sets: {failures} postcondition failures (halving/disjoint tops/containment), {elapsed:.0f}s")
 
 
@@ -259,27 +256,27 @@ def test_criterion_11_operator_sanity():
 
     # bilinearity
     a, b = 1.3, -0.6
-    lhs = apply_Tj(a * f1 + b * f2, g, P, 0).output.values
-    rhs = a * apply_Tj(f1, g, P, 0).output.values + b * apply_Tj(f2, g, P, 0).output.values
+    lhs = apply_Tj(a * f1 + b * f2, g, P, 0).values
+    rhs = a * apply_Tj(f1, g, P, 0).values + b * apply_Tj(f2, g, P, 0).values
     bilinear_ok = np.max(np.abs(lhs - rhs)) <= 1e-9 * (np.max(np.abs(rhs)) + 1e-30)
 
     # translation covariance on a grid-aligned shift
     h = 32 * f1.step
-    shifted = apply_Tj(f1.translate(h), g.translate(h), P, 0).output.values
-    base = apply_Tj(f1, g, P, 0).output.values
+    shifted = apply_Tj(f1.translate(h), g.translate(h), P, 0).values
+    base = apply_Tj(f1, g, P, 0).values
     translation_ok = np.max(np.abs(shifted - base)) <= 1e-9
 
     # cancellation on constants
     ones = GridFunction(lo, hi, np.ones(2049))
-    cancel = apply_Tj(ones, ones, P, 0).output
+    cancel = apply_Tj(ones, ones, P, 0)
     inner = (cancel.x > lo + 4.5) & (cancel.x < hi - 4.5)
     cancel_ok = np.max(np.abs(cancel.values[inner])) <= 1e-10
 
     # alpha-ladder reassembly
-    full = apply_Tj(f1, g, P, 0, nodes_per_component=8192).output.values
+    full = apply_Tj(f1, g, P, 0, nodes_per_component=8192).values
     total = np.zeros_like(full)
     for alpha in [2.0**k for k in range(-12, 3)]:
-        total += restricted_Tj_alpha(f1, g, P, 0, alpha, nodes_per_component=8192).output.values
+        total += restricted_Tj_alpha(f1, g, P, 0, alpha, nodes_per_component=8192).values
     ladder_ok = np.max(np.abs(total - full)) <= 1e-8 * max(1.0, np.max(np.abs(full)))
 
     # self-convergence order >= 1.9 under grid doubling
@@ -287,12 +284,12 @@ def test_criterion_11_operator_sanity():
     ref_n = 8 * (n0 - 1) + 1
     f_ref = GridFunction.sample(lambda x: np.exp(-(x**2)), lo, hi, ref_n)
     g_ref = GridFunction.sample(lambda x: np.exp(-(((x + 0.2) / 0.9) ** 2)), lo, hi, ref_n)
-    ref = apply_Tj(f_ref, g_ref, P, 0, nodes_per_component=2048).output
+    ref = apply_Tj(f_ref, g_ref, P, 0, nodes_per_component=2048)
     errs = []
     for nn in (n0, 2 * (n0 - 1) + 1):
         fc = GridFunction.sample(lambda x: np.exp(-(x**2)), lo, hi, nn)
         gc = GridFunction.sample(lambda x: np.exp(-(((x + 0.2) / 0.9) ** 2)), lo, hi, nn)
-        out = apply_Tj(fc, gc, P, 0, nodes_per_component=2048).output
+        out = apply_Tj(fc, gc, P, 0, nodes_per_component=2048)
         common = np.linspace(lo + 5, hi - 5, 257)
         errs.append(np.max(np.abs(out(common) - ref(common))))
     order = math.log2(errs[0] / errs[1])

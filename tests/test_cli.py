@@ -12,6 +12,7 @@ import pytest
 
 import curvelab
 from curvelab.cli import SUBCOMMANDS, main
+from curvelab.report import ExperimentReport
 
 
 def run_cli(args):
@@ -23,11 +24,11 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def report_rows(out, name):
-    """The rows of the report SUBCOMMANDS[name] returns for the config and
+def report_columns(out, name):
+    """The columns of the report SUBCOMMANDS[name] returns for the config and
     seed that the CLI echoed to <out>/<name>.json."""
     cfg = json.loads((out / f"{name}.json").read_text())["config"]
-    return SUBCOMMANDS[name][0](cfg, np.random.default_rng(int(cfg["seed"]))).rows
+    return SUBCOMMANDS[name][0](cfg, np.random.default_rng(int(cfg["seed"]))).columns
 
 
 # SHA-256 of every subcommand's CSV at its default config.  A refactor of the
@@ -92,6 +93,7 @@ class TestJsonContract:
     def test_no_rows_and_config_replays_csv(self, default_out, default_csvs, tmp_path, name):
         doc = json.loads((default_out / f"{name}.json").read_text())
         assert set(doc) == {"name", "fitted", "passed", "flags", "runtime_s", "config"}
+        assert doc["name"] == name
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc["config"]))
         assert main([name, "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -110,11 +112,9 @@ class TestClassify:
 
     def test_csv_matches_json(self, tmp_path):
         run_cli(["classify", "--out", str(tmp_path)])
-        rows, wanted = read_csv(tmp_path / "classify.csv"), report_rows(tmp_path, "classify")
-        assert len(rows) == len(wanted)
-        for got, want in zip(rows, wanted):
-            assert int(got["j"]) == want["j"]
-            assert got["class"] == want["class"]
+        rows, wanted = read_csv(tmp_path / "classify.csv"), report_columns(tmp_path, "classify")
+        assert [int(got["j"]) for got in rows] == list(wanted["j"])
+        assert [got["class"] for got in rows] == list(wanted["class"])
 
 
 class TestSharpness:
@@ -150,12 +150,9 @@ class TestReplayDeterminism:
 
     def test_csv_round_trips_through_json(self, tmp_path):
         assert run_cli(["vdc", "--out", str(tmp_path)]) == 0
-        rows, wanted = read_csv(tmp_path / "vdc.csv"), report_rows(tmp_path, "vdc")
-        assert len(rows) == len(wanted)
-        for got, want in zip(rows, wanted):
-            for key, val in want.items():
-                if isinstance(val, float):
-                    assert float(got[key]) == val
+        rows, wanted = read_csv(tmp_path / "vdc.csv"), report_columns(tmp_path, "vdc")
+        for key, col in wanted.items():
+            assert [float(got[key]) for got in rows] == list(col)
 
 
 # each bad value and a fragment of its one error line: the field it names,
@@ -190,6 +187,16 @@ BAD_VALUES = {
     "multiplier --set m_list=[1000]": "'m_list', 'xi_band', 'eta_band', 'j' and 'coeffs' set the phase scale; at m=1000: node budget exceeded: needs about 2.68e+301 nodes",
     "multiplier --set m_list=[1022]": "'m_list'",
     "multiplier --set m_list=[1023]": "'m_list'",
+    "classify --set N=1e400": "'N'",
+    "inverse --set count=Infinity": "'count'",
+    "sharpness --set d=0": "d must be >= 2",
+    "sharpness --set d=0.5": "d must be >= 2",
+    "rootorder --set A_big=0": "A_big must be positive",
+    "levelset --set h_ladder=[0]": "'h_ladder'",
+    "stationary --set m_list=[1e300,1e300]": "'m_list'",
+    "tiles --set m=100000": "scale too fine for grid",
+    "tiles --set j_range=[1e300,1e300]": "j_range",
+    "vdc --set ratio_cap=NaN": "'ratio_cap'",
 }
 
 
@@ -199,6 +206,14 @@ def wrong_kind(default):
     if isinstance(default, (int, float)):
         return "x"
     return [1] if isinstance(default, dict) else 5
+
+
+# every field whose default is a number or a list of numbers, with Infinity in its shape
+INFINITE_VALUES = [
+    (n, k, "Infinity" if isinstance(v, (int, float)) else "[Infinity]")
+    for n in sorted(SUBCOMMANDS) for k, v in sorted(SUBCOMMANDS[n][2].items())
+    if isinstance(v, (int, float)) or isinstance(v, list) and all(isinstance(x, (int, float)) for x in v)
+]
 
 
 class TestSchemaAndUsage:
@@ -245,6 +260,22 @@ class TestSchemaAndUsage:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(field) in err
         assert not (tmp_path / f"{name}.csv").exists()
+
+    @pytest.mark.parametrize("name,field,value", INFINITE_VALUES)
+    def test_every_number_field_rejects_infinity(self, tmp_path, capsys, name, field, value):
+        assert run_cli([name, "--out", str(tmp_path), "--set", f"{field}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(field) in err
+        assert not (tmp_path / f"{name}.csv").exists()
+
+    @pytest.mark.parametrize("columns", [{"x": [1.0], "y": [2.0]}, {"x": [1.0], "value": []}])
+    def test_undeclared_columns_exit_2(self, tmp_path, capsys, monkeypatch, columns):
+        monkeypatch.setitem(SUBCOMMANDS, "bogus", (lambda cfg, rng: ExperimentReport(columns), "x,value", {"seed": 0}))
+        assert run_cli(["bogus", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: subcommand 'bogus' returned columns") and err.count("\n") == 1
+        assert not (tmp_path / "bogus.csv").exists()
 
     def test_asserted_bound_exit_2(self, tmp_path, capsys):
         # at d = 45 the endpoint window is too narrow for T_0 >= delta/8

@@ -270,14 +270,14 @@ class TestStationarySplit:
 class TestSublevel:
     def test_linear(self):
         u = smooth_poly([0, 1], (-1, 1))
-        rep = sublevel_check(u, 1, [0.3])
-        assert rep.rows[0]["measure"] == pytest.approx(0.6, abs=1e-8)
-        assert rep.rows[0]["ratio"] == pytest.approx(2.0, abs=1e-7)
+        (measure,), (ratio,) = sublevel_check(u, 1, [0.3])
+        assert measure == pytest.approx(0.6, abs=1e-8)
+        assert ratio == pytest.approx(2.0, abs=1e-7)
 
     def test_quadratic_closed_form(self):
         u = smooth_poly([0, 0, 0.5], (-1, 1))
-        rep = sublevel_check(u, 2, [0.1])
-        assert rep.rows[0]["measure"] == pytest.approx(2 * math.sqrt(0.2), rel=1e-6)
+        (measure,), _ = sublevel_check(u, 2, [0.1])
+        assert measure == pytest.approx(2 * math.sqrt(0.2), rel=1e-6)
 
     def test_random_cubics_bounded(self):
         rng = np.random.default_rng(0)
@@ -286,13 +286,12 @@ class TestSublevel:
             # cubic with |u'''| = 6|c3| >= 1
             c3 = float(rng.choice([-1, 1])) * (1.0 + rng.random()) / 6.0 * 1.5
             u = smooth_poly([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5), c3], (-2, 2))
-            rep = sublevel_check(u, 3, alphas)
-            assert rep.fitted["max_ratio"] <= 2 * math.e * 6 ** (1 / 3)
+            _, ratios = sublevel_check(u, 3, alphas)
+            assert max(ratios) <= 2 * math.e * 6 ** (1 / 3)
 
     def test_monotone_in_alpha(self):
         u = smooth_poly([0.2, -1, 0, 1.0], (-2, 2))
-        rep = sublevel_check(u, 3, [2.0**-k for k in range(1, 10)])
-        ms = [r["measure"] for r in rep.rows]
+        ms, _ = sublevel_check(u, 3, [2.0**-k for k in range(1, 10)])
         assert all(a >= b - 1e-9 for a, b in zip(ms, ms[1:]))
 
     def test_floor_violation(self):
@@ -496,18 +495,17 @@ class TestPerturbationPairs:
         same = PhasePair(f0=pair.f0, f1=pair.f0, K=6, N=30)
         lo = same.f0.fn(0.6)
         hi = same.f0.fn(1.9)
-        rep = perturbation_pair_check(same, np.linspace(lo, hi, 5))
-        assert rep.fitted["dk_minus_1_distance"] == 0.0
-        assert rep.passed
+        distance, bound = perturbation_pair_check(same, np.linspace(lo, hi, 5))
+        assert distance == 0.0
+        assert bound == 2.0**-10
 
     def test_constructed_pairs_pass(self):
         for seed in range(8):
             pair = make_pair(seed)
             lo = max(pair.f0.fn(0.6), pair.f1.fn(0.6))
             hi = min(pair.f0.fn(1.9), pair.f1.fn(1.9))
-            rep = perturbation_pair_check(pair, np.linspace(lo, hi, 7))
-            assert rep.passed
-            assert rep.fitted["dk_minus_1_distance"] <= 2.0**-10
+            distance, bound = perturbation_pair_check(pair, np.linspace(lo, hi, 7))
+            assert distance <= bound == 2.0**-10
 
     def test_violated_closeness_names_condition(self):
         pair = make_pair(3)
@@ -529,8 +527,7 @@ class TestPerturbationPairs:
             pair = make_pair(99, N=N)
             lo = max(pair.f0.fn(0.6), pair.f1.fn(0.6))
             hi = min(pair.f0.fn(1.9), pair.f1.fn(1.9))
-            rep = perturbation_pair_check(pair, np.linspace(lo, hi, 5))
-            cur = rep.fitted["dk_minus_1_distance"]
+            cur, _ = perturbation_pair_check(pair, np.linspace(lo, hi, 5))
             assert cur <= prev * (1 + 1e-9)
             prev = cur
 

@@ -76,7 +76,7 @@ class TestEndpointBuilder:
         res = apply_Tj(fw, gw, inst.P, 0, nodes_per_component=1 << 13)
         xs = np.linspace(*inst.window, 7)
         for x in xs:
-            generic = float(res.output(float(x)))
+            generic = float(res(float(x)))
             exact = t0_endpoint_value(inst, float(x))
             assert generic == pytest.approx(exact, rel=0.05)
 
@@ -85,25 +85,25 @@ class TestEndpointScaling:
     DELTAS = [2.0**-k for k in range(6, 15)]
 
     def test_endpoint_r_half_flat(self):
-        rep = endpoint_scaling_experiment(2, 0.5, 1.0, 1.0, self.DELTAS)
-        assert rep.fitted["predicted_exponent"] == pytest.approx(0.0)
-        assert abs(rep.fitted["slope"]) <= 0.05
+        sweep = endpoint_scaling_experiment(2, 0.5, 1.0, 1.0, self.DELTAS)
+        assert sweep.predicted == pytest.approx(0.0)
+        assert abs(sweep.slope) <= 0.05
 
     def test_subcritical_diverges(self):
-        rep = endpoint_scaling_experiment(2, 0.4, 0.8, 0.8, self.DELTAS)
-        assert rep.fitted["predicted_exponent"] == pytest.approx(-0.25)
-        assert rep.fitted["slope"] == pytest.approx(-0.25, abs=0.05)
-        assert rep.flags["diverges"]
+        sweep = endpoint_scaling_experiment(2, 0.4, 0.8, 0.8, self.DELTAS)
+        assert sweep.predicted == pytest.approx(-0.25)
+        assert sweep.slope == pytest.approx(-0.25, abs=0.05)
+        assert sweep.slope < 0.0
 
     def test_supercritical_converges(self):
-        rep = endpoint_scaling_experiment(2, 0.6, 1.2, 1.2, self.DELTAS)
-        assert rep.fitted["slope"] == pytest.approx(predicted_endpoint_exponent(2, 0.6), abs=0.05)
-        assert not rep.flags["diverges"]
+        sweep = endpoint_scaling_experiment(2, 0.6, 1.2, 1.2, self.DELTAS)
+        assert sweep.slope == pytest.approx(predicted_endpoint_exponent(2, 0.6), abs=0.05)
+        assert sweep.slope >= 0.0
 
     def test_d3_endpoint(self):
-        rep = endpoint_scaling_experiment(3, 2.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, self.DELTAS)
-        assert rep.fitted["predicted_exponent"] == pytest.approx(0.0)
-        assert abs(rep.fitted["slope"]) <= 0.05
+        sweep = endpoint_scaling_experiment(3, 2.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, self.DELTAS)
+        assert sweep.predicted == pytest.approx(0.0)
+        assert abs(sweep.slope) <= 0.05
 
     def test_hoelder_validated(self):
         with pytest.raises(ValueError, match="Hoelder"):
@@ -112,8 +112,8 @@ class TestEndpointScaling:
     def test_sign_flip_at_threshold(self):
         slopes = {}
         for r in (0.45, 0.5, 0.6):
-            rep = endpoint_scaling_experiment(2, r, 2 * r, 2 * r, self.DELTAS)
-            slopes[r] = rep.fitted["slope"]
+            sweep = endpoint_scaling_experiment(2, r, 2 * r, 2 * r, self.DELTAS)
+            slopes[r] = sweep.slope
         assert slopes[0.45] < 0.0 < slopes[0.6]
         assert abs(slopes[0.5]) <= 0.05
 
@@ -157,13 +157,13 @@ class TestRootOrderScaling:
         P = Polynomial.curve([0, 0, 1.0])
         t0 = 1.0 / math.sqrt(3.0)
         deltas = [2.0**-k for k in range(8, 17)]
-        rep = rootorder_scaling_experiment(P, t0, 1, 1.0, 2.0, 2.0, deltas)
-        assert rep.fitted["slope"] == pytest.approx(predicted_rootorder_exponent(1, 1.0), abs=0.05)
-        assert rep.passed
+        sweep = rootorder_scaling_experiment(P, t0, 1, 1.0, 2.0, 2.0, deltas)
+        assert sweep.slope == pytest.approx(predicted_rootorder_exponent(1, 1.0), abs=0.05)
+        assert sweep.passed
 
     def test_r_below_one(self):
         P = Polynomial.curve([0, 0, 1.0])
         t0 = 1.0 / math.sqrt(3.0)
         deltas = [2.0**-k for k in range(8, 17)]
-        rep = rootorder_scaling_experiment(P, t0, 1, 2.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, deltas)
-        assert rep.fitted["slope"] == pytest.approx(0.25, abs=0.05)
+        sweep = rootorder_scaling_experiment(P, t0, 1, 2.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0, deltas)
+        assert sweep.slope == pytest.approx(0.25, abs=0.05)
